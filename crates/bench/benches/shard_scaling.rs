@@ -1,7 +1,7 @@
 //! Shard-scaling benchmark: the same fleet run at 1, 2, 4, and 8 shards.
 //!
 //! Every configuration produces bit-identical output (enforced by the
-//! `shard_determinism` test), so this bench measures pure wall-clock
+//! `determinism` test suite), so this bench measures pure wall-clock
 //! scaling of the parallel driver. The README's speedup table is
 //! generated from these numbers.
 

@@ -5,36 +5,6 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rpclens_simcore::prelude::*;
 
-fn bench_event_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_queue");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("schedule_pop", |b| {
-        let mut q = EventQueue::with_capacity(1024);
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 17;
-            q.schedule(SimTime::from_nanos(t), t);
-            if q.len() > 512 {
-                black_box(q.pop());
-            }
-        });
-    });
-    g.bench_function("interleaved_1k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(1024);
-            for i in 0..1000u64 {
-                q.schedule(SimTime::from_nanos(i * 37 % 5000), i);
-            }
-            let mut sum = 0u64;
-            while let Some((_, e)) = q.pop() {
-                sum += e;
-            }
-            black_box(sum)
-        });
-    });
-    g.finish();
-}
-
 fn bench_histogram(c: &mut Criterion) {
     let mut g = c.benchmark_group("log_histogram");
     g.throughput(Throughput::Elements(1));
@@ -73,8 +43,6 @@ fn bench_rng_and_dists(c: &mut Criterion) {
     g.bench_function("alias_10k", |b| {
         b.iter(|| black_box(alias.sample(&mut rng)))
     });
-    let zipf = Zipf::new(10_000, 1.2).expect("valid");
-    g.bench_function("zipf_10k", |b| b.iter(|| black_box(zipf.sample(&mut rng))));
     g.finish();
 }
 
@@ -96,11 +64,5 @@ fn bench_stats(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_event_queue,
-    bench_histogram,
-    bench_rng_and_dists,
-    bench_stats
-);
+criterion_group!(benches, bench_histogram, bench_rng_and_dists, bench_stats);
 criterion_main!(benches);

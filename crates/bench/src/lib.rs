@@ -310,7 +310,7 @@ pub fn run_at_sharded_faults(
 /// `None` keeps the respective default (one shard and one thread per
 /// available core). Both knobs are pure wall-clock controls — output is
 /// bit-identical at any (shards, threads) combination, which
-/// `tests/pool_determinism.rs` pins against the golden digests.
+/// `tests/determinism.rs` pins against the golden digests.
 pub fn run_configured(
     scale: SimScale,
     shards: Option<usize>,

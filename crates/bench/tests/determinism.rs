@@ -1,0 +1,316 @@
+//! The determinism contract, table-driven: execution shape must not
+//! change a single bit of any output.
+//!
+//! A run partitions its roots into shards, executes them on a worker
+//! pool, and folds the shards back together in shard-id order (see
+//! `docs/ARCHITECTURE.md`). Neither knob may leak into what a run
+//! computes. Three parts pin this:
+//!
+//! 1. **Smoke matrix.** Rows are the digest-pinned fault scenarios
+//!    (`none`, `chaos-smoke`, `incident-smoke`), cells every
+//!    (shards, threads) in {1,4}². Each cell runs once and must match
+//!    the committed digest in `crates/bench/DIGESTS`, the (1,1) cell's
+//!    deterministic and robustness sections, and its own execution
+//!    shape; each row then checks its scenario's invariants.
+//! 2. **4k-root scale.** A full-retention run at shards 1, 2 and 8:
+//!    raw simulation outputs, every rendered artifact, the manifest's
+//!    deterministic section and the profiler reservoirs are identical.
+//! 3. **Ordered fold.** Whatever order workers complete shards in,
+//!    `fleet::pool::OrderedFold` applies them in shard-id order.
+
+use proptest::prelude::*;
+use rpclens_bench::{produce, run_configured, Artifact};
+use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
+use rpclens_fleet::faults::FaultScenario;
+use rpclens_fleet::pool::OrderedFold;
+use rpclens_fleet::telemetry::manifest_for_run;
+use rpclens_obs::{RunManifest, ShardCounters};
+use rpclens_simcore::time::SimDuration;
+
+/// The committed golden digest of `scenario`, read from the digest
+/// table the CI gates grep as well.
+fn committed_digest(scenario: &str) -> u64 {
+    include_str!("../DIGESTS")
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .find_map(|line| {
+            let (name, digest) = line.split_once(' ')?;
+            (name == scenario).then(|| digest.trim().parse().expect("digest is a u64"))
+        })
+        .unwrap_or_else(|| panic!("no `{scenario}` row in crates/bench/DIGESTS"))
+}
+
+/// Smoke-matrix cells: every (shards, threads) in {1,4}², (1,1) first
+/// so it can serve as the reference.
+const CELLS: [(usize, usize); 4] = [(1, 1), (1, 4), (4, 1), (4, 4)];
+
+/// A row's scenario-specific checks on its reference manifest.
+type Invariants = fn(&RunManifest);
+
+/// Smoke-matrix rows: a fault scenario, by its preset and `DIGESTS` name,
+/// with the invariants its reference manifest must show.
+const ROWS: [(&str, Invariants); 3] = [
+    ("none", none_invariants),
+    ("chaos-smoke", chaos_smoke_invariants),
+    ("incident-smoke", incident_smoke_invariants),
+];
+
+/// `--faults none` is the pre-fault-plane simulator: no robustness
+/// section, because no fault path ever ran.
+fn none_invariants(m: &RunManifest) {
+    assert!(
+        m.robustness.is_none(),
+        "fault-free manifests must not carry a robustness section"
+    );
+}
+
+/// Chaos-smoke faults actually fired: the scenario is not a silent
+/// no-op, and its digest differs from the fault-free one.
+fn chaos_smoke_invariants(m: &RunManifest) {
+    let r = m
+        .robustness
+        .as_ref()
+        .expect("chaos-smoke carries robustness");
+    assert!(r.retries_issued > 0, "no retries executed");
+    assert!(r.failovers > 0, "no failovers executed");
+    assert!(r.causal_unavailable > 0, "no causal unavailability");
+    assert!(r.deadline_exceeded > 0, "no deadline expirations");
+    assert_ne!(m.digest(), committed_digest("none"));
+}
+
+/// Incident-smoke struck: every incident kind has a blast radius, the
+/// controllers acted, and bounded admission conserves offered calls.
+fn incident_smoke_invariants(m: &RunManifest) {
+    let r = m
+        .robustness
+        .as_ref()
+        .expect("incident-smoke carries robustness");
+    assert_eq!(r.incidents.len(), 3, "{:?}", r.incidents);
+    assert!(
+        r.incidents
+            .iter()
+            .all(|&(_, struck, eps)| struck > 0 && eps > 0),
+        "{:?}",
+        r.incidents
+    );
+    let controller = |name: &str| {
+        r.controllers
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("missing controller row {name}: {:?}", r.controllers))
+            .1
+    };
+    assert!(controller("autoscaler_scaled_windows") > 0);
+    assert!(controller("admission_offered") > 0);
+    assert_eq!(
+        controller("admission_admitted")
+            + controller("admission_shed")
+            + controller("admission_abandoned"),
+        controller("admission_offered"),
+        "bounded admission must conserve offered calls"
+    );
+}
+
+#[test]
+fn smoke_matrix_holds_every_committed_digest() {
+    for (scenario, invariants) in ROWS {
+        let expected = committed_digest(scenario);
+        let mut reference: Option<RunManifest> = None;
+        for (shards, threads) in CELLS {
+            let faults = FaultScenario::by_name(scenario).expect("known preset");
+            let run = run_configured(SimScale::smoke(), Some(shards), Some(threads), faults);
+            let manifest = manifest_for_run(&run);
+            assert_eq!(
+                manifest.digest(),
+                expected,
+                "{scenario} digest drifted from crates/bench/DIGESTS at \
+                 shards={shards} threads={threads}; if the drift is intentional, \
+                 re-baseline the table and the CI gates together"
+            );
+            // Thread count is execution shape: recorded in the undigested
+            // runtime section, clamped to the shard count.
+            assert_eq!(manifest.runtime.shards, shards);
+            assert_eq!(manifest.runtime.threads, threads.min(shards));
+            if let Some(r) = &manifest.robustness {
+                assert_eq!(r.scenario, scenario);
+            }
+            match &reference {
+                None => reference = Some(manifest),
+                Some(first) => {
+                    assert_eq!(
+                        first.deterministic, manifest.deterministic,
+                        "{scenario} deterministic sections diverge at \
+                         shards={shards} threads={threads}"
+                    );
+                    assert_eq!(
+                        first.robustness, manifest.robustness,
+                        "{scenario} robustness sections diverge at \
+                         shards={shards} threads={threads}"
+                    );
+                }
+            }
+        }
+        invariants(reference.as_ref().expect("at least one cell"));
+    }
+}
+
+fn run_with_shards(shards: usize) -> FleetRun {
+    let scale = SimScale {
+        name: "determinism",
+        total_methods: 320,
+        roots: 4_000,
+        duration: SimDuration::from_hours(24),
+        trace_sample_rate: 1,
+        profiler_sample_cap: 10_000,
+        seed: 23,
+    };
+    let mut config = FleetConfig::at_scale(scale);
+    config.shards = shards;
+    run_fleet(config)
+}
+
+#[test]
+fn determinism_scale_is_bit_identical_at_any_shard_count() {
+    let base = run_with_shards(1);
+    let base_manifest = manifest_for_run(&base);
+    let base_bytes = base_manifest.deterministic_json();
+    let base_artifacts: Vec<String> = Artifact::ALL
+        .iter()
+        .map(|&artifact| produce(artifact, Some(&base)).0)
+        .collect();
+    for shards in [2usize, 8] {
+        let run = &run_with_shards(shards);
+
+        // Raw simulation outputs first: cheap to diagnose when they
+        // differ, and they are the inputs every figure derives from.
+        assert_eq!(base.total_spans, run.total_spans, "shards={shards}");
+        assert_eq!(base.method_calls, run.method_calls, "shards={shards}");
+        assert_eq!(base.method_bytes, run.method_bytes, "shards={shards}");
+        assert_eq!(base.store.len(), run.store.len(), "shards={shards}");
+        for (i, (a, b)) in base
+            .store
+            .traces()
+            .iter()
+            .zip(run.store.traces())
+            .enumerate()
+        {
+            assert_eq!(a.root_start, b.root_start, "trace {i} at shards={shards}");
+            assert_eq!(a.spans, b.spans, "trace {i} spans at shards={shards}");
+        }
+        assert_eq!(
+            base.errors.kinds_by_count(),
+            run.errors.kinds_by_count(),
+            "shards={shards}"
+        );
+        assert_eq!(
+            base.profiler.total_cycles(),
+            run.profiler.total_cycles(),
+            "shards={shards}"
+        );
+
+        // Then the deliverables themselves: every rendered figure and
+        // table, compared as exact text.
+        for (artifact, expected) in Artifact::ALL.iter().zip(&base_artifacts) {
+            let (text, _) = produce(*artifact, Some(run));
+            assert_eq!(
+                &text,
+                expected,
+                "artifact {} differs at shards={shards}",
+                artifact.name()
+            );
+        }
+
+        // The telemetry layer folds per-shard counters, reservoirs and
+        // histograms on top: field-level comparison first, then the
+        // rendered bytes a user diffs on disk.
+        let manifest = manifest_for_run(run);
+        assert_eq!(
+            base_manifest.deterministic, manifest.deterministic,
+            "deterministic section differs at shards={shards}"
+        );
+        assert_eq!(
+            base_bytes,
+            manifest.deterministic_json(),
+            "deterministic JSON bytes differ at shards={shards}"
+        );
+        // The runtime section is the explicitly non-deterministic
+        // remainder, and must reflect the actual execution shape.
+        assert_eq!(manifest.runtime.shards, shards, "shards={shards}");
+        assert_eq!(manifest.runtime.per_shard.len(), shards, "shards={shards}");
+
+        // The full manifest (runtime included) still parses, and the
+        // digest binds exactly the deterministic bytes.
+        let back = RunManifest::parse(&manifest.to_json_string()).expect("manifest roundtrip");
+        assert_eq!(back.deterministic, base_manifest.deterministic);
+
+        // Per-method profiler reservoirs merge via deterministic
+        // bottom-k, so capped methods keep identical sample sets.
+        for method in base.profiler.methods_with_samples(1) {
+            assert_eq!(
+                base.profiler.method_samples(method),
+                run.profiler.method_samples(method),
+                "method {method} samples differ at shards={shards}"
+            );
+        }
+    }
+}
+
+/// A distinct, recognisable accumulator for shard `i`: real telemetry
+/// counters plus an order-sensitive payload standing in for the trace
+/// store (concatenation order must equal shard-id order).
+fn shard_item(i: usize) -> (ShardCounters, Vec<u64>) {
+    let mut c = ShardCounters::new();
+    let i64 = i as u64;
+    c.roots = 10 + i64;
+    c.spans = 100 + 7 * i64;
+    c.hedges_issued = i64 % 3;
+    c.max_depth = i64 % 9;
+    for k in 0..20u64 {
+        c.root_latency_us.record(1 + (i64 * 37 + k * 11) % 5_000);
+        c.queue.record((i64 + k) % 5 * 250);
+        c.wire.record((i64 + k).is_multiple_of(4));
+    }
+    (c, vec![i64 * 3, i64 * 3 + 1, i64 * 3 + 2])
+}
+
+fn fold_items(acc: &mut (ShardCounters, Vec<u64>), next: (ShardCounters, Vec<u64>), _id: usize) {
+    acc.0.absorb(&next.0);
+    acc.1.extend(next.1);
+}
+
+proptest! {
+    /// Merged accumulators are independent of worker completion order:
+    /// pushing shards through `OrderedFold` in a random permutation
+    /// yields exactly the sequential in-order fold.
+    #[test]
+    fn ordered_fold_is_completion_order_invariant(
+        keys in proptest::collection::vec(any::<u64>(), 1..24),
+    ) {
+        let n = keys.len();
+        // Derive a completion permutation from the random keys.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| (keys[i], i));
+
+        let mut sequential = OrderedFold::new();
+        for i in 0..n {
+            sequential.push(i, shard_item(i), fold_items);
+        }
+        let expected = sequential.finish();
+
+        let mut shuffled = OrderedFold::new();
+        for &i in &order {
+            shuffled.push(i, shard_item(i), fold_items);
+        }
+        prop_assert_eq!(shuffled.folded(), n);
+        let got = shuffled.finish();
+
+        // Order-sensitive payload merged in shard-id order, not
+        // completion order.
+        prop_assert_eq!(&got.1, &expected.1);
+        let flat: Vec<u64> = (0..n as u64).flat_map(|i| [i * 3, i * 3 + 1, i * 3 + 2]).collect();
+        prop_assert_eq!(&got.1, &flat);
+        // Counters identical field for field (absorb is a sum/max fold,
+        // but equality of the full struct also covers the histograms).
+        prop_assert_eq!(format!("{:?}", got.0), format!("{:?}", expected.0));
+    }
+}

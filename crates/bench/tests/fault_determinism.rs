@@ -1,178 +1,24 @@
-//! The fault plane's determinism contract, pinned end to end.
+//! The fault and incident planes' behavioural guarantees at smoke scale.
 //!
-//! Three guarantees, in order of how expensive they are to regain once
-//! lost:
+//! Their digests are pinned at every (shards, threads) cell by
+//! `determinism.rs` against `crates/bench/DIGESTS`; this file checks what
+//! those scenarios *do*:
 //!
-//! 1. `--faults none` is the pre-fault-plane simulator bit for bit: the
-//!    smoke manifest digest stays at its historical golden value at any
-//!    shard count (no new rng draws anywhere on the fault-free path).
-//! 2. A fault scenario is itself shard-count-invariant: episode
-//!    trajectories derive from `(seed, entity)` alone, so chaos-smoke
-//!    produces identical manifests — digest *and* robustness section —
-//!    at 1 and 4 shards.
-//! 3. The chaos-smoke digest matches the committed expectation in
-//!    `crates/bench/FAULT_SMOKE_DIGEST`, the same value the CI
-//!    fault-smoke step greps for. Re-baseline both together, never one.
+//! 1. Closed-loop controllers turn fewer calls away than the same
+//!    incident schedule run open loop.
+//! 2. Chaos-smoke reconciles with the paper's Fig. 23 error taxonomy.
+//! 3. An overload-collapse retry storm is clamped by the retry budget,
+//!    and the retry-storm detector says so.
 
-use rpclens_bench::{run_at_sharded_faults, run_configured};
+use rpclens_bench::run_at_sharded_faults;
 use rpclens_core::figs::fig23;
 use rpclens_fleet::driver::{FleetRun, SimScale};
 use rpclens_fleet::faults::FaultScenario;
 use rpclens_fleet::telemetry::{manifest_for_run, slo_findings, DEFAULT_TAIL_TOLERANCE};
 use rpclens_obs::{Severity, SloConfig};
 
-/// Golden digest of the fault-free smoke manifest; must match the value
-/// pinned in `telemetry_determinism.rs`.
-const SMOKE_GOLDEN_DIGEST: u64 = 4965560232275073350;
-
-/// Committed chaos-smoke digest expectation, shared with the CI
-/// fault-smoke gate.
-fn fault_smoke_digest() -> u64 {
-    include_str!("../FAULT_SMOKE_DIGEST")
-        .trim()
-        .parse()
-        .expect("FAULT_SMOKE_DIGEST holds one u64")
-}
-
-/// Committed incident-smoke digest expectation, shared with the CI
-/// incident-smoke gate.
-fn incident_smoke_digest() -> u64 {
-    include_str!("../INCIDENT_SMOKE_DIGEST")
-        .trim()
-        .parse()
-        .expect("INCIDENT_SMOKE_DIGEST holds one u64")
-}
-
 fn smoke_run(faults: FaultScenario, shards: usize) -> FleetRun {
     run_at_sharded_faults(SimScale::smoke(), Some(shards), faults)
-}
-
-#[test]
-fn faults_none_preserves_the_golden_digest() {
-    for shards in [1usize, 4] {
-        let run = smoke_run(FaultScenario::none(), shards);
-        let manifest = manifest_for_run(&run);
-        assert_eq!(
-            manifest.digest(),
-            SMOKE_GOLDEN_DIGEST,
-            "--faults none drifted from the golden smoke digest at shards={shards}"
-        );
-        assert!(
-            manifest.robustness.is_none(),
-            "fault-free manifests must not carry a robustness section"
-        );
-    }
-}
-
-#[test]
-fn chaos_smoke_is_bit_identical_across_shard_counts() {
-    let one = manifest_for_run(&smoke_run(FaultScenario::chaos_smoke(), 1));
-    let four = manifest_for_run(&smoke_run(FaultScenario::chaos_smoke(), 4));
-    // The digested deterministic section and the (undigested but still
-    // deterministic) robustness section must both match exactly.
-    assert_eq!(
-        one.digest(),
-        four.digest(),
-        "chaos-smoke deterministic sections diverge across shard counts"
-    );
-    assert_eq!(one.deterministic, four.deterministic);
-    assert_eq!(
-        one.robustness, four.robustness,
-        "chaos-smoke robustness sections diverge across shard counts"
-    );
-    // Faults actually fired: the scenario is not a silent no-op.
-    let r = one
-        .robustness
-        .as_ref()
-        .expect("chaos-smoke carries robustness");
-    assert_eq!(r.scenario, "chaos-smoke");
-    assert!(r.retries_issued > 0, "no retries executed");
-    assert!(r.failovers > 0, "no failovers executed");
-    assert!(r.causal_unavailable > 0, "no causal unavailability");
-    assert!(r.deadline_exceeded > 0, "no deadline expirations");
-    // And the scenario digest differs from the fault-free golden one.
-    assert_ne!(one.digest(), SMOKE_GOLDEN_DIGEST);
-}
-
-#[test]
-fn chaos_smoke_digest_matches_committed_expectation() {
-    let manifest = manifest_for_run(&smoke_run(FaultScenario::chaos_smoke(), 1));
-    assert_eq!(
-        manifest.digest(),
-        fault_smoke_digest(),
-        "chaos-smoke digest drifted from crates/bench/FAULT_SMOKE_DIGEST; \
-         if the drift is intentional, re-baseline the file and the CI gate together"
-    );
-}
-
-#[test]
-fn incident_smoke_is_bit_identical_across_shards_and_threads() {
-    // The incident plane draws shared cross-entity trajectories and the
-    // control plane reacts to them on window boundaries — neither may
-    // observe anything a shard computed, so the full (shards, threads)
-    // matrix must agree with the committed expectation in
-    // `crates/bench/INCIDENT_SMOKE_DIGEST` (the CI incident-smoke gate
-    // greps for the same value; re-baseline both together, never one).
-    let expected = incident_smoke_digest();
-    let mut reference: Option<rpclens_obs::RunManifest> = None;
-    for shards in [1usize, 4] {
-        for threads in [1usize, 4] {
-            let run = run_configured(
-                SimScale::smoke(),
-                Some(shards),
-                Some(threads),
-                FaultScenario::incident_smoke(),
-            );
-            let manifest = manifest_for_run(&run);
-            assert_eq!(
-                manifest.digest(),
-                expected,
-                "incident-smoke digest drifted from crates/bench/INCIDENT_SMOKE_DIGEST \
-                 at shards={shards} threads={threads}; if the drift is intentional, \
-                 re-baseline the file and the CI gate together"
-            );
-            match &reference {
-                None => reference = Some(manifest),
-                Some(first) => {
-                    assert_eq!(first.deterministic, manifest.deterministic);
-                    assert_eq!(
-                        first.robustness, manifest.robustness,
-                        "incident/controller tables diverge at shards={shards} threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-    // The scenario actually struck: every incident kind has a blast
-    // radius, and the controllers actually acted.
-    let r = reference
-        .as_ref()
-        .and_then(|m| m.robustness.as_ref())
-        .expect("incident-smoke carries robustness");
-    assert_eq!(r.incidents.len(), 3, "{:?}", r.incidents);
-    assert!(
-        r.incidents
-            .iter()
-            .all(|&(_, struck, eps)| struck > 0 && eps > 0),
-        "{:?}",
-        r.incidents
-    );
-    let controller = |name: &str| {
-        r.controllers
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("missing controller row {name}: {:?}", r.controllers))
-            .1
-    };
-    assert!(controller("autoscaler_scaled_windows") > 0);
-    assert!(controller("admission_offered") > 0);
-    assert_eq!(
-        controller("admission_admitted")
-            + controller("admission_shed")
-            + controller("admission_abandoned"),
-        controller("admission_offered"),
-        "bounded admission must conserve offered calls"
-    );
 }
 
 #[test]

@@ -15,10 +15,9 @@
 
 use rpclens_simcore::rng::SplitMix64;
 use rpclens_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A snapshot of the four exogenous variables at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExogenousVars {
     /// CPU utilization in `[0, 1]`.
     pub cpu_util: f64,
@@ -31,7 +30,7 @@ pub struct ExogenousVars {
 }
 
 /// Generator parameters for one machine's (or cluster's) exogenous state.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExogenousProfile {
     /// Mean CPU utilization (the diurnal curve oscillates around this).
     pub base_util: f64,

@@ -10,33 +10,27 @@
 //!   variables of Table 2, queryable at any simulated instant.
 //! - [`machine`]: a machine whose execution speed and scheduler wakeup
 //!   latency are coupled to its exogenous state.
-//! - [`pool`]: an exact FIFO M/G/k worker pool producing server queueing
+//! - [`mgk`]: analytic M/G/k queue-wait sampling producing server queueing
 //!   delay.
-//! - [`accounting`]: windowed CPU usage accounting for the load-balancing
-//!   analysis (Fig. 22).
 //! - [`site`]: dense `(u16, u16)`-keyed lookup tables so the driver's
 //!   per-span site access is one vector index instead of a hash probe.
 //! - [`faults`]: trajectory-stored failure episodes (crash/restart churn,
 //!   drains, partitions, overload surges) queryable at any instant, the
 //!   substrate of the fleet driver's fault-injection plane.
 
-pub mod accounting;
 pub mod exogenous;
 pub mod faults;
 pub mod machine;
 pub mod mgk;
-pub mod pool;
 pub mod site;
 
 /// Convenience re-exports of the most commonly used cluster types.
 pub mod prelude {
     pub use crate::{
-        accounting::UsageAccumulator,
         exogenous::{ExogenousProfile, ExogenousVars},
         faults::{EpisodeParams, EpisodeProcess},
         machine::{Machine, MachineConfig, MachineId},
         mgk::{erlang_c, QueueModel},
-        pool::WorkerPool,
         site::DensePairMap,
     };
 }

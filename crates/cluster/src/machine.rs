@@ -15,10 +15,9 @@
 use crate::exogenous::{ExogenousProfile, ExogenousVars};
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a machine within the fleet (dense index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MachineId(pub u32);
 
 /// Static machine configuration.

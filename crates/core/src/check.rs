@@ -5,11 +5,10 @@
 //! — should. Each figure emits [`Expectation`]s with generous bands; the
 //! repro harness prints them and EXPERIMENTS.md records them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One paper-vs-measured comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Expectation {
     /// Short id, e.g. `fig2.p99_ge_1ms`.
     pub id: String,
@@ -54,7 +53,7 @@ impl fmt::Display for Expectation {
 }
 
 /// A collection of expectations for one figure or table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExpectationSet {
     /// The expectations, in declaration order.
     pub items: Vec<Expectation>,

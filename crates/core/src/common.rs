@@ -5,10 +5,9 @@ use rpclens_rpcstack::component::LatencyComponent;
 use rpclens_simcore::stats::{percentile, sorted_finite, QuantileSummary};
 use rpclens_trace::query::MethodQuery;
 use rpclens_trace::span::{MethodId, SpanRecord, TraceData};
-use serde::{Deserialize, Serialize};
 
 /// One row of a per-method "heatmap": the method and its metric quantiles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MethodRow {
     /// The method.
     pub method: MethodId,
@@ -18,7 +17,7 @@ pub struct MethodRow {
 
 /// A per-method heatmap, sorted by the median of the metric — the layout
 /// every per-method figure in the paper uses.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MethodHeatmap {
     /// Rows in ascending median order.
     pub rows: Vec<MethodRow>,

@@ -22,11 +22,10 @@ use rpclens_simcore::dist::{LogNormal, Sample};
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::SimDuration;
 use rpclens_trace::span::{MethodId, ServiceId};
-use serde::{Deserialize, Serialize};
 
 /// The workload category of a service (drives Table 1's grouping and the
 /// dominant latency component of Fig. 14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceCategory {
     /// Persistent/data services (Bigtable, Network Disk, Spanner, ...).
     Storage,
@@ -85,7 +84,7 @@ pub struct ServiceSpec {
 }
 
 /// How many downstream calls an edge issues when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FanoutDist {
     /// Always exactly `n` parallel calls.
     Fixed(u32),

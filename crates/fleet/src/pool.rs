@@ -33,7 +33,7 @@
 //! function of `(items, fold)` and never of completion order, because
 //! `OrderedFold` releases item *i* to the fold only after items
 //! `0..i` have been folded. The property test in
-//! `crates/bench/tests/pool_determinism.rs` drives a real accumulator
+//! `crates/bench/tests/determinism.rs` drives a real accumulator
 //! (`ShardCounters`) through random completion permutations and asserts
 //! the merged result equals the sequential fold; the golden-digest
 //! matrix in the same file pins the end-to-end guarantee at

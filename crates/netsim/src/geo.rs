@@ -8,7 +8,6 @@
 //! fiber paths.
 
 use rpclens_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Speed of light in fiber, km per second (~2/3 of c in vacuum).
 pub const FIBER_KM_PER_SEC: f64 = 200_000.0;
@@ -20,7 +19,7 @@ pub const ROUTE_INFLATION: f64 = 1.5;
 const EARTH_RADIUS_KM: f64 = 6371.0;
 
 /// A point on the globe, in degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees, positive north.
     pub lat: f64,

@@ -8,22 +8,21 @@
 
 use crate::geo::GeoPoint;
 use rpclens_simcore::rng::Prng;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a geographic region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId(pub u16);
 
 /// Identifier of a datacenter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DatacenterId(pub u16);
 
 /// Identifier of a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub u16);
 
 /// Continent a region belongs to (used for [`PathClass`] classification).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Continent {
     /// North America.
     NorthAmerica,
@@ -38,7 +37,7 @@ pub enum Continent {
 }
 
 /// The distance class of a network path between two clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PathClass {
     /// Client and server in the same cluster.
     SameCluster,
@@ -76,7 +75,7 @@ impl PathClass {
 }
 
 /// A geographic region hosting one or more datacenters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Region {
     /// This region's identifier.
     pub id: RegionId,
@@ -89,7 +88,7 @@ pub struct Region {
 }
 
 /// A datacenter within a region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Datacenter {
     /// This datacenter's identifier.
     pub id: DatacenterId,
@@ -100,7 +99,7 @@ pub struct Datacenter {
 }
 
 /// A cluster of machines within a datacenter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     /// This cluster's identifier.
     pub id: ClusterId,
@@ -130,7 +129,7 @@ pub struct RegionSpec {
 }
 
 /// The full fleet topology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     regions: Vec<Region>,
     datacenters: Vec<Datacenter>,

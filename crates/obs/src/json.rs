@@ -1,8 +1,8 @@
 //! A small, deterministic JSON value model with writer and parser.
 //!
-//! The vendored `serde` is a compile-only stub, so the manifest format
-//! serializes through this module instead. Two properties matter more
-//! here than generality:
+//! The workspace has no serialization framework, so the manifest format
+//! serializes through this module. Two properties matter more here than
+//! generality:
 //!
 //! - **Deterministic output.** Objects preserve insertion order (they are
 //!   vectors of pairs, not maps), integers print as exact digits, and

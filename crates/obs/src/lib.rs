@@ -27,11 +27,11 @@
 //! The determinism contract of `docs/ARCHITECTURE.md` extends to this
 //! crate: everything outside the manifest's `runtime` section must be
 //! reproducible bit-for-bit from the master seed alone. The in-tree test
-//! `crates/bench/tests/telemetry_determinism.rs` enforces it.
+//! `crates/bench/tests/determinism.rs` enforces it.
 //!
-//! [`json`] is the self-contained JSON layer both directions go through;
-//! the vendored `serde` is a no-op stub (see `docs/KNOWN_ISSUES.md`), so
-//! the manifest format is written and parsed here, deterministically.
+//! [`json`] is the self-contained JSON layer both directions go through:
+//! the workspace has no serialization framework, so the manifest format
+//! is written and parsed here, deterministically.
 
 #![warn(missing_docs)]
 

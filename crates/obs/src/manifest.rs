@@ -5,7 +5,7 @@
 //!
 //! - `deterministic` — integers only, a pure function of the master seed.
 //!   The rendered bytes of this section are **identical for any shard
-//!   count** (enforced by `crates/bench/tests/telemetry_determinism.rs`),
+//!   count** (enforced by `crates/bench/tests/determinism.rs`),
 //!   so a manifest doubles as a regression baseline: if the deterministic
 //!   bytes differ between two runs with the same seed and scale, the
 //!   simulation changed.

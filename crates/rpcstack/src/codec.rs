@@ -8,7 +8,6 @@
 //! this code.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Frame magic: "RL".
 pub const MAGIC: u16 = 0x524C;
@@ -16,7 +15,7 @@ pub const MAGIC: u16 = 0x524C;
 pub const VERSION: u8 = 1;
 
 /// Frame flag bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Flags(pub u8);
 
 impl Flags {
@@ -44,7 +43,7 @@ impl Flags {
 }
 
 /// The header carried by every frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RpcHeader {
     /// Which method is being invoked.
     pub method_id: u64,

@@ -6,12 +6,11 @@
 //! stack groups, which is the decomposition used by Figs. 10–13.
 
 use rpclens_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// One of the nine stack components, or the server application itself.
 ///
 /// Order follows a request's lifecycle; the `ALL` constant preserves it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LatencyComponent {
     /// Request waits at the client for CPU/network availability.
     ClientSendQueue,
@@ -93,7 +92,7 @@ impl LatencyComponent {
 }
 
 /// The three groups of the RPC latency tax (Fig. 10b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TaxGroup {
     /// Client/server send and receive queues.
     Queue,
@@ -118,7 +117,7 @@ impl TaxGroup {
 }
 
 /// The per-component latency of one completed RPC.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyBreakdown {
     parts: [SimDuration; 9],
 }

@@ -8,10 +8,9 @@
 //! processing time) and into the profiler (cycle accounting).
 
 use rpclens_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Cycle attribution categories used by the fleet profiler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CycleCategory {
     /// Application handler work (not part of the tax).
     Application,
@@ -80,7 +79,7 @@ impl CycleCategory {
 }
 
 /// Cycles attributed per category for one operation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleCost {
     cycles: [u64; 8],
 }
@@ -140,7 +139,7 @@ impl CycleCost {
 /// serialization (a few cycles/byte), LZ-class compression (tens of
 /// cycles/byte), AES-NI encryption (~1 cycle/byte), and kernel TCP
 /// processing (a few thousand cycles per packet).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StackCostConfig {
     /// Fixed dispatch cost of the RPC library per call, cycles.
     pub library_base: u64,
@@ -180,7 +179,7 @@ pub struct StackCostConfig {
 }
 
 /// How a message's payload is handled by the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageClass {
     /// Payload is compressed on the wire.
     pub compressed: bool,
@@ -408,7 +407,7 @@ impl StackCostModel {
 /// [`CycleCategory`]; `tax_ns` is the serial sum (no pipeline discount),
 /// which is the right comparison target for a single-threaded
 /// measurement harness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentNanos {
     /// Serialization / parsing time.
     pub serialize_ns: f64,

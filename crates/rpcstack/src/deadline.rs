@@ -9,10 +9,9 @@
 //! used for such studies.
 
 use rpclens_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A deadline budget carried by one call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline {
     /// Absolute expiry instant.
     pub expires_at: SimTime,
@@ -55,7 +54,7 @@ impl Deadline {
 
 /// Per-method deadline policy: how a server decides the budget for calls
 /// it originates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeadlinePolicy {
     /// Default budget for root calls.
     pub root_budget: SimDuration,

@@ -7,10 +7,9 @@
 //! lifecycle an erroneous RPC got (which determines the cycles it wasted).
 
 use rpclens_simcore::rng::Prng;
-use serde::{Deserialize, Serialize};
 
 /// The error classes observed in the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ErrorKind {
     /// The caller cancelled the RPC (including hedging losers).
     Cancelled,
@@ -64,7 +63,7 @@ impl ErrorKind {
 /// Cancellations are *not* injected here — they are produced mechanically
 /// by the hedging machinery (the winner cancels the loser), which is what
 /// makes their wasted-cycle share larger than their count share.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ErrorProfile {
     rates: Vec<(ErrorKind, f64)>,
     total: f64,

@@ -7,10 +7,9 @@
 
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A hedging policy for one method.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgePolicy {
     /// Whether hedging is enabled at all.
     pub enabled: bool,

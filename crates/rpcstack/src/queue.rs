@@ -1,7 +1,7 @@
 //! Soft queue models for the client-side and send-side queues.
 //!
-//! The server *receive* queue is modelled exactly by the worker pool
-//! (`rpclens-cluster::pool`); the remaining queues in Fig. 9 — client
+//! The server *receive* queue is modelled by the M/G/k wait sampler
+//! (`rpclens-cluster::mgk`); the remaining queues in Fig. 9 — client
 //! send, server send, client receive — are not worker-bound but wait for
 //! CPU or network availability. They are modelled as load-coupled
 //! exponential delays with a rare heavy-tail component: mostly negligible,
@@ -12,10 +12,9 @@
 use rpclens_simcore::dist::{BoundedPareto, Sample};
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for a soft queue.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SoftQueueConfig {
     /// Mean delay when the host is idle.
     pub base_mean: SimDuration,

@@ -10,10 +10,9 @@
 use crate::error::ErrorKind;
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Exponential backoff with full jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackoffPolicy {
     /// First retry delay.
     pub base: SimDuration,

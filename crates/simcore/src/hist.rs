@@ -7,8 +7,6 @@
 //! octave, giving a worst-case relative quantile error of ~1.6% across the
 //! full `u64` range with at most 1,920 buckets.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of low-order values recorded exactly.
 const LINEAR_LIMIT: u64 = 64;
 /// Sub-buckets per octave above the linear range (half of `LINEAR_LIMIT`).
@@ -36,7 +34,7 @@ const SUB_PER_OCTAVE: usize = 32;
 /// is pinned by the golden run digests (`root_latency.min_us` flows from
 /// a default-constructed histogram), so it must not be "fixed" without
 /// re-baselining every digest. Prefer `new()` in new code.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LogHistogram {
     counts: Vec<u64>,
     count: u64,

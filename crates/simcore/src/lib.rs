@@ -1,10 +1,9 @@
-//! Deterministic discrete-event simulation core for the `rpclens` workspace.
+//! Deterministic simulation core for the `rpclens` workspace.
 //!
 //! This crate provides the substrate every other crate builds on:
 //!
 //! - [`time`]: nanosecond-resolution simulated time ([`time::SimTime`],
 //!   [`time::SimDuration`]).
-//! - [`event`]: a time-ordered, FIFO-stable event queue ([`event::EventQueue`]).
 //! - [`rng`]: a deterministic, splittable pseudo-random number generator
 //!   ([`rng::Prng`]) so that every simulation run is exactly reproducible from
 //!   a single master seed, independent of platform or thread interleaving.
@@ -12,13 +11,10 @@
 //!   exponential, mixtures, ...) used to model handler times, sizes, and
 //!   fan-out in the fleet.
 //! - [`alias`]: O(1) categorical sampling via the Vose alias method.
-//! - [`zipf`]: Zipf-distributed integer sampling.
 //! - [`hist`]: a log-bucketed high-dynamic-range histogram for recording
 //!   latencies spanning nanoseconds to minutes with bounded relative error.
 //! - [`stats`]: exact quantiles, streaming moments, and correlation
 //!   coefficients used by the characterization analyses.
-//! - [`streaming`]: constant-memory estimators (P² quantiles, reservoir
-//!   sampling) for monitoring-agent-style export.
 //!
 //! # Examples
 //!
@@ -40,13 +36,10 @@
 
 pub mod alias;
 pub mod dist;
-pub mod event;
 pub mod hist;
 pub mod rng;
 pub mod stats;
-pub mod streaming;
 pub mod time;
-pub mod zipf;
 
 /// Convenience re-exports of the most commonly used simcore types.
 pub mod prelude {
@@ -56,12 +49,9 @@ pub mod prelude {
             BoundedPareto, Constant, Exponential, LogNormal, Mixture, Pareto, Sample, Shifted,
             Uniform, Weibull,
         },
-        event::EventQueue,
         hist::LogHistogram,
         rng::Prng,
         stats::{percentile, OnlineMoments},
-        streaming::{P2Quantile, Reservoir},
         time::{SimDuration, SimTime},
-        zipf::Zipf,
     };
 }

@@ -49,7 +49,7 @@ pub fn sorted_finite(mut values: Vec<f64>) -> Vec<f64> {
 }
 
 /// A compact multi-quantile summary of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantileSummary {
     /// Number of samples summarised.
     pub count: usize,

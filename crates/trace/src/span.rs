@@ -11,14 +11,13 @@ use rpclens_netsim::topology::ClusterId;
 use rpclens_rpcstack::component::{LatencyBreakdown, LatencyComponent};
 use rpclens_rpcstack::error::ErrorKind;
 use rpclens_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an RPC method (dense index into the catalog).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MethodId(pub u32);
 
 /// Identifier of a service (a set of methods owned by one application).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServiceId(pub u16);
 
 /// Quantum for stored durations: 100 ns.
@@ -36,7 +35,7 @@ fn from_ticks(t: u32) -> SimDuration {
 }
 
 /// One RPC within a sampled trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Invoked method.
     pub method: MethodId,
@@ -227,7 +226,7 @@ impl SpanBuilder {
 /// A sampled RPC tree: the root's absolute start time plus all spans.
 ///
 /// Span index 0 is always the root; children reference parents by index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceData {
     /// Absolute start time of the root RPC.
     pub root_start: SimTime,

@@ -2,11 +2,10 @@
 
 use rpclens_simcore::hist::LogHistogram;
 use rpclens_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// A monotonically non-decreasing cumulative count.
     Counter,
@@ -17,7 +16,7 @@ pub enum MetricKind {
 }
 
 /// One sampled value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum MetricValue {
     /// Cumulative counter reading.
     Counter(u64),
@@ -63,7 +62,7 @@ impl MetricValue {
 }
 
 /// A canonical (sorted, deduplicated) label set identifying one series.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Labels(Vec<(String, String)>);
 
 impl Labels {
@@ -145,7 +144,7 @@ impl fmt::Display for Labels {
 }
 
 /// Static description of a metric: its name, kind, and retention.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricDescriptor {
     /// Metric name, e.g. `rpc/server/latency`.
     pub name: String,
