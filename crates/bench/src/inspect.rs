@@ -6,8 +6,7 @@
 //! artifacts a previous `repro` run persisted (`--export-store`,
 //! `--telemetry`), so drilling down never re-runs the simulation.
 
-use rpclens_fleet::control::ControlPlane;
-use rpclens_fleet::faults::FaultScenario;
+use rpclens_fleet::faults::{FaultPlane, FaultScenario};
 use rpclens_netsim::topology::Topology;
 use rpclens_obs::RunManifest;
 use rpclens_rpcstack::component::LatencyComponent;
@@ -300,20 +299,17 @@ pub fn controllers_text(
     let faults = FaultScenario::by_name(scenario)
         .ok_or_else(|| format!("unknown fault scenario {scenario}"))?;
     let topology = Topology::default_world(seed);
-    let region_of: Vec<u16> = topology.clusters().map(|c| c.region.0).collect();
-    let Some(mut cp) = ControlPlane::new(
-        &faults,
-        seed,
-        region_of,
-        rpclens_tsdb::DEFAULT_SAMPLE_PERIOD,
-    ) else {
+    let Some(mut plane) = faults
+        .control
+        .and(FaultPlane::new(&faults, seed, &topology))
+    else {
         return Err(format!(
             "scenario `{}` has no control plane; closed-loop presets: incident-smoke",
             faults.name
         ));
     };
     let mut out = format!("scenario {} at seed {seed}\n", faults.name);
-    out.push_str(&cp.render_timeline(topology.num_clusters() as u16, duration));
+    out.push_str(&plane.render_timeline(topology.num_clusters() as u16, duration));
     Ok(out)
 }
 

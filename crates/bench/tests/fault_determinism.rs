@@ -14,7 +14,7 @@ use rpclens_bench::run_at_sharded_faults;
 use rpclens_core::figs::fig23;
 use rpclens_fleet::driver::{FleetRun, SimScale};
 use rpclens_fleet::faults::FaultScenario;
-use rpclens_fleet::telemetry::{manifest_for_run, slo_findings, DEFAULT_TAIL_TOLERANCE};
+use rpclens_fleet::telemetry::{slo_findings, DEFAULT_TAIL_TOLERANCE};
 use rpclens_obs::{Severity, SloConfig};
 
 fn smoke_run(faults: FaultScenario, shards: usize) -> FleetRun {
@@ -55,14 +55,9 @@ fn chaos_smoke_reconciles_with_fig23() {
 
 #[test]
 fn overload_collapse_storm_is_clamped_by_the_retry_budget() {
+    // That calls were shed and retries denied is an invariant of the
+    // overload-collapse row in determinism.rs.
     let run = smoke_run(FaultScenario::overload_collapse(), 1);
-    let manifest = manifest_for_run(&run);
-    let r = manifest.robustness.as_ref().expect("robustness section");
-    assert!(r.load_sheds > 0, "overload never shed load");
-    assert!(
-        r.retries_denied > 0,
-        "the retry budget never denied a retry under collapse"
-    );
     // The retry-storm detector must report the amplification as clamped
     // (Info), not a storm: the token-bucket budget is doing its job.
     let findings = slo_findings(&run, None, &SloConfig::default(), DEFAULT_TAIL_TOLERANCE);

@@ -23,9 +23,8 @@
 //! accounting.
 
 use crate::catalog::{Catalog, CatalogConfig, ServiceCategory, ServiceHot};
-use crate::control::{admission_verdict, AdmissionVerdict, ControlPlane};
-use crate::faults::{FaultPlane, FaultScenario, PartitionState};
-use crate::incident::IncidentPlane;
+use crate::control::{admission_verdict, AdmissionVerdict};
+use crate::faults::{Disruption, FaultPlane, FaultScenario};
 use crate::pool;
 use crate::streamagg;
 use crate::workload::{RootArrival, Workload};
@@ -417,9 +416,6 @@ struct Driver {
     placement: Vec<SvcPlacement>,
     /// Ambient client-side load profile per cluster.
     client_profiles: Vec<ExogenousProfile>,
-    /// Region id of each cluster, indexed by cluster id — the incident
-    /// and control planes key their correlated trajectories on this.
-    region_of: Vec<u16>,
     /// Per-method root-deadline band `(lo_secs, hi/lo)` when the
     /// scenario uses per-family deadlines: `[q50 × lo_mult, q99 ×
     /// hi_mult]` of the method's own compute distribution, scaled by its
@@ -571,8 +567,6 @@ impl Driver {
             })
             .collect();
 
-        let region_of: Vec<u16> = topology.clusters().map(|c| c.region.0).collect();
-
         // Per-family deadline bands: a Storage read and a BigQuery scan
         // should not share one global log-uniform budget draw. Each
         // method's band comes from its *own* compute quantiles — callers
@@ -615,7 +609,6 @@ impl Driver {
             sites,
             placement,
             client_profiles,
-            region_of,
             deadline_bands,
             master_rng,
         }
@@ -929,19 +922,11 @@ struct Shard<'a> {
     /// live (shard 0 — every window it closes mid-run precedes every
     /// other shard's first window).
     live: Option<&'a streamagg::WindowSink>,
-    /// Fault plane: seed-derived failure episode processes, identical in
-    /// every shard. `None` when the scenario injects nothing.
+    /// Disruption plane: per-entity faults, correlated incidents and
+    /// controller timelines, all seed-derived and never fed shard-local
+    /// counters, so identical in every shard. `None` when the scenario
+    /// injects nothing.
     faults: Option<FaultPlane>,
-    /// Correlated-incident plane: shared cross-entity incidents whose
-    /// per-entity trajectories are seed-derived and hence identical in
-    /// every shard. `None` when the scenario has no incident layer.
-    incidents: Option<IncidentPlane>,
-    /// Closed-loop control plane. Its controller timelines are pure
-    /// functions of `(seed, incident spec, window index)` — it owns a
-    /// *private* incident-plane copy and never reads shard-local
-    /// counters, so every shard reconstructs identical decisions. `None`
-    /// for open-loop scenarios.
-    control: Option<ControlPlane>,
     /// Reusable span buffer: every trace expands into this arena, so tree
     /// expansion reuses capacity across roots. Sampled traces copy the
     /// exact-length spans out; unsampled traces cost no allocation.
@@ -970,15 +955,10 @@ impl<'a> Shard<'a> {
             agg: streamagg::WindowAgg::new(world.catalog.num_services()),
             closed: Vec::new(),
             live: None,
-            faults: FaultPlane::new(&world.config.faults, world.config.scale.seed),
-            incidents: world.config.faults.incidents.and_then(|spec| {
-                IncidentPlane::new(&spec, world.config.scale.seed, world.region_of.clone())
-            }),
-            control: ControlPlane::new(
+            faults: FaultPlane::new(
                 &world.config.faults,
                 world.config.scale.seed,
-                world.region_of.clone(),
-                rpclens_tsdb::DEFAULT_SAMPLE_PERIOD,
+                &world.topology,
             ),
             arena: Vec::new(),
             counters: ShardCounters::new(),
@@ -1411,28 +1391,25 @@ impl<'a> Shard<'a> {
                 }
             }
         }
-        // Load-balancer weight shift: when the control plane flagged the
-        // chosen path as degraded at this window's boundary, the client
-        // re-picks among the remaining deployments — the same `Avoid`
-        // failover path a retry takes, but *before* the request is ever
-        // sent. Only an active controller draws, so scenarios without
-        // one keep their draw sequence.
-        if deployed.len() > 1 {
-            if let Some(cp) = self.control.as_mut() {
-                let wan = world
-                    .topology
-                    .path_class(client_cluster, server_cluster)
-                    .is_wan();
-                if cp.path_degraded(client_cluster.0, server_cluster.0, wan, t) {
-                    if let Some(pos) = deployed.iter().position(|&c| c == server_cluster) {
-                        let mut j = ctx.rng.index(deployed.len() - 1);
-                        if j >= pos {
-                            j += 1;
-                        }
-                        server_cluster = deployed[j];
-                        self.counters.control.lb_shifts += 1;
-                    }
+        // Load-balancer weight shift: when the weight-shift controller
+        // flagged the chosen path as degraded at this window's boundary,
+        // the client re-picks among the remaining deployments — the same
+        // `Avoid` failover path a retry takes, but *before* the request
+        // is ever sent. Only an active controller draws, so scenarios
+        // without one keep their draw sequence.
+        let shift = deployed.len() > 1
+            && self
+                .faults
+                .as_mut()
+                .is_some_and(|plane| plane.lb_avoids(client_cluster.0, server_cluster.0, t));
+        if shift {
+            if let Some(pos) = deployed.iter().position(|&c| c == server_cluster) {
+                let mut j = ctx.rng.index(deployed.len() - 1);
+                if j >= pos {
+                    j += 1;
                 }
+                server_cluster = deployed[j];
+                self.counters.control.lb_shifts += 1;
             }
         }
         let site = world.site(hot.service, server_cluster);
@@ -1452,77 +1429,18 @@ impl<'a> Shard<'a> {
             }
         }
 
-        // 3b. Causal availability: a WAN blackout on the path, a drained
-        // cluster, or a crashed machine makes the target `Unavailable` —
-        // the request is sent and bounces with the transport-level error.
-        // A brownout instead adds excess latency to both wire crossings.
-        let mut causal: Option<ErrorKind> = None;
-        let mut cluster_level = false;
-        let mut brownout = SimDuration::ZERO;
-        let mut overload_factor: Option<f64> = None;
-        if let Some(plane) = self.faults.as_mut() {
-            let wan = world
-                .topology
-                .path_class(client_cluster, server_cluster)
-                .is_wan();
-            match plane.partition_state(client_cluster.0, server_cluster.0, wan, t) {
-                PartitionState::Blackout => {
-                    causal = Some(ErrorKind::Unavailable);
-                    cluster_level = true;
-                }
-                PartitionState::Brownout => {
-                    if let Some(spec) = plane.scenario().wan_partition {
-                        brownout = spec.brownout_excess;
-                    }
-                }
-                PartitionState::Connected => {}
-            }
-            if causal.is_none() && plane.cluster_drained(server_cluster.0, t) {
-                causal = Some(ErrorKind::Unavailable);
-                cluster_level = true;
-            }
-            if causal.is_none() && plane.machine_crashed(hot.service.0, server_cluster.0, mi, t) {
-                causal = Some(ErrorKind::Unavailable);
-            }
-            overload_factor = plane.overload_factor(hot.service.0, server_cluster.0, t);
-        }
-        // 3c. Incident composition (precedence rules in
-        // `crate::incident`): blackout from either plane beats brownout;
-        // both-brownout takes the larger excess; a drain from either
-        // plane is a drain; overload factors never stack — the strongest
-        // front wins.
-        if let Some(inc) = self.incidents.as_mut() {
-            let wan = world
-                .topology
-                .path_class(client_cluster, server_cluster)
-                .is_wan();
-            match inc.partition_state(client_cluster.0, server_cluster.0, wan, t) {
-                PartitionState::Blackout => {
-                    causal = Some(ErrorKind::Unavailable);
-                    cluster_level = true;
-                }
-                PartitionState::Brownout => {
-                    brownout = brownout.max(inc.brownout_excess());
-                }
-                PartitionState::Connected => {}
-            }
-            if causal.is_none() && inc.cluster_drained(server_cluster.0, t) {
-                causal = Some(ErrorKind::Unavailable);
-                cluster_level = true;
-            }
-            if let Some(f) = inc.overload_factor(server_cluster.0, t) {
-                overload_factor = Some(overload_factor.map_or(f, |g| g.max(f)));
-            }
-        }
-        // The autoscaler's added capacity divides the effective surge:
-        // a fully absorbed surge (effective factor at or below 1) is no
-        // overload at all.
-        if let Some(f) = overload_factor {
-            if let Some(cp) = self.control.as_mut() {
-                let eff = f / cp.capacity_factor(server_cluster.0, t);
-                overload_factor = (eff > 1.0).then_some(eff);
-            }
-        }
+        // 3b. What the call meets at its server. An unavailable target
+        // still receives the request, which bounces with the transport
+        // error; a brownout slows both wire crossings.
+        let disruption = self
+            .faults
+            .as_mut()
+            .map_or_else(Disruption::default, |plane| {
+                let wan = world.topology.path_class(client_cluster, server_cluster);
+                let (client, server) = (client_cluster.0, server_cluster.0);
+                plane.disruption(hot.service.0, client, server, mi, wan.is_wan(), t)
+            });
+        let mut cluster_level = disruption.cluster_level;
 
         // 4. Request network wire.
         let wire_req = world.cost.wire_bytes(req_bytes, sh.compressed);
@@ -1535,7 +1453,7 @@ impl<'a> Shard<'a> {
         );
         self.counters.wire.record(req_congested);
         ctx.congested_wire += u64::from(req_congested);
-        let req_net = req_net + brownout;
+        let req_net = req_net + disruption.brownout;
         breakdown.set(LatencyComponent::RequestNetworkWire, req_net);
         t += req_net;
 
@@ -1557,12 +1475,8 @@ impl<'a> Shard<'a> {
         // clamped below saturation so the M/G/k wait stays finite. A
         // bounded admission queue enforces its own, tighter utilization
         // cap — the queue refuses to fill past it.
-        let admission = if overload_factor.is_some() {
-            self.control.as_ref().and_then(ControlPlane::admission)
-        } else {
-            None
-        };
-        if let Some(factor) = overload_factor {
+        let admission = disruption.admission;
+        if let Some(factor) = disruption.overload {
             let cap = admission.map_or(0.98, |a| a.util_cap);
             pool_util = (pool_util * factor).min(cap);
         }
@@ -1573,15 +1487,7 @@ impl<'a> Shard<'a> {
         // threshold are rejected with `NoResource` instead of being
         // served. An explicit admission queue supersedes this rule — its
         // verdict (admit/shed/abandon) is applied at injection below.
-        let shed = admission.is_none()
-            && overload_factor.is_some()
-            && self
-                .faults
-                .as_ref()
-                .and_then(|p| p.scenario().overload)
-                .map(|spec| spec.shed_wait)
-                .or_else(|| self.incidents.as_ref().and_then(IncidentPlane::shed_wait))
-                .is_some_and(|w| queue_wait > w);
+        let shed = disruption.shed_wait.is_some_and(|w| queue_wait > w);
         let srq = wakeup + queue_wait;
         breakdown.set(LatencyComponent::ServerRecvQueue, srq);
         t += srq;
@@ -1594,9 +1500,9 @@ impl<'a> Shard<'a> {
         // waits past the shed bound are refused (`NoResource`), waits
         // past the caller's patience are abandoned (`Aborted`), and
         // admitted + shed + abandoned always equals offered.
-        let injected = if let Some(kind) = causal {
+        let injected = if disruption.unavailable {
             self.counters.resilience.causal_unavailable += 1;
-            Some(kind)
+            Some(ErrorKind::Unavailable)
         } else if let Some(spec) = admission {
             self.counters.control.admission_offered += 1;
             match admission_verdict(&spec, queue_wait) {
@@ -1705,7 +1611,7 @@ impl<'a> Shard<'a> {
         );
         self.counters.wire.record(resp_congested);
         ctx.congested_wire += u64::from(resp_congested);
-        let resp_net = resp_net + brownout;
+        let resp_net = resp_net + disruption.brownout;
         breakdown.set(LatencyComponent::ResponseNetworkWire, resp_net);
         t += resp_net;
         let crq = world.soft_queue.delay(client_util, &mut ctx.rng);

@@ -23,16 +23,15 @@
 //!   the TSDB's cumulative counter series incrementally, so peak
 //!   aggregation state is O(services × 1 window) instead of
 //!   O(services × windows) per shard.
-//! - [`faults`]: the fault-injection plane — named failure scenarios
+//! - [`faults`]: the disruption plane — named failure scenarios
 //!   (machine churn, drains, WAN partitions, overload surges) plus the
 //!   client resilience configuration (deadlines, budgeted retries) the
-//!   driver executes against them.
-//! - [`incident`]: the correlated-incident layer above [`faults`] —
-//!   shared cross-entity incidents (a drain surging its placement
-//!   neighbours, one WAN cut partitioning a whole region pair, an
-//!   overload front sweeping a region) materialized as deterministic
-//!   per-entity trajectories the fault plane composes with.
-//! - [`control`]: the closed-loop control plane — a deterministic
+//!   driver executes against them, composed per call by one `FaultPlane`.
+//! - [`incident`]: the correlated incidents inside that plane — a drain
+//!   surging its placement neighbours, one WAN cut partitioning a whole
+//!   region pair, an overload front sweeping a region — materialized as
+//!   deterministic per-entity trajectories.
+//! - [`control`]: the closed-loop controllers — a deterministic
 //!   autoscaler, load-balancer weight shifts, and bounded admission
 //!   queues evaluated on window boundaries, identical on every shard.
 //! - [`telemetry`]: adapters from a completed run to the `rpclens-obs`
@@ -62,11 +61,11 @@ pub mod workload;
 pub mod fleet_prelude {
     pub use crate::{
         catalog::{Catalog, CatalogConfig, MethodSpec, ServiceCategory, ServiceSpec},
-        control::{ControlPlane, ControlSpec},
+        control::ControlSpec,
         driver::{run_fleet, FleetConfig, FleetRun, SimScale},
-        faults::{FaultPlane, FaultScenario, PartitionState},
+        faults::{Disruption, FaultPlane, FaultScenario, PartitionState},
         growth::{GrowthConfig, GrowthModel},
-        incident::{IncidentPlane, IncidentSpec},
+        incident::IncidentSpec,
         telemetry::{manifest_for_run, slo_findings, window_samples},
         workload::Workload,
     };

@@ -12,9 +12,8 @@
 //! fields), and window samples are reconstructed from cumulative
 //! counters the driver wrote in sorted window order.
 
-use crate::control::ControlPlane;
 use crate::driver::FleetRun;
-use crate::incident::IncidentPlane;
+use crate::faults::FaultPlane;
 use rpclens_obs::{
     error_budget_burn, metastable_overload, retry_storm, tail_regression, Finding,
     OverloadDetectorConfig, RetryStormConfig, RobustnessSection, RunManifest, SloConfig,
@@ -118,52 +117,36 @@ pub fn manifest_for_run(run: &FleetRun) -> RunManifest {
     manifest
 }
 
-/// Region map of a run's topology, cluster-id indexed — the key the
-/// incident and control planes correlate on.
-fn region_map(run: &FleetRun) -> Vec<u16> {
-    run.topology.clusters().map(|c| c.region.0).collect()
+/// The run's disruption plane, rebuilt from the seed: incident and
+/// controller trajectories are pure functions of `(seed, scenario)`, so
+/// no per-shard counter carries them (a counter would multiply by the
+/// shard count and break shard invariance).
+fn fault_plane(run: &FleetRun) -> Option<FaultPlane> {
+    FaultPlane::new(&run.config.faults, run.config.scale.seed, &run.topology)
 }
 
 /// Incident blast-radius rows for the manifest: entities struck and
-/// distinct episodes per incident kind. Reconstructed from the seed —
-/// incident trajectories are pure functions of `(seed, spec)`, so no
-/// per-shard counter carries them (a counter would multiply by the
-/// shard count and break shard invariance).
+/// distinct episodes per incident kind.
 fn incident_rows(run: &FleetRun) -> Vec<(String, u64, u64)> {
-    let Some(spec) = run.config.faults.incidents else {
-        return Vec::new();
-    };
-    let Some(mut plane) = IncidentPlane::new(&spec, run.config.scale.seed, region_map(run)) else {
-        return Vec::new();
-    };
-    plane
-        .summary(
-            run.config.scale.duration,
-            rpclens_tsdb::DEFAULT_SAMPLE_PERIOD,
-        )
-        .into_iter()
-        .map(|row| (row.kind.to_string(), row.entities_struck, row.episodes))
-        .collect()
+    fault_plane(run).map_or_else(Vec::new, |mut plane| {
+        plane.incident_summary(run.config.scale.duration)
+    })
 }
 
 /// Controller activity rows for the manifest: the autoscaler timeline
 /// reconstructed from the seed (shard-invariant by construction) plus
 /// the per-call admission and load-balancer event counters.
 fn controller_rows(run: &FleetRun) -> Vec<(String, u64)> {
-    let Some(spec) = run.config.faults.control else {
+    if run.config.faults.control.is_none() {
         return Vec::new();
-    };
-    let mut cp = ControlPlane::from_parts(
-        spec,
-        run.config.faults.incidents.as_ref(),
-        run.config.scale.seed,
-        region_map(run),
-        rpclens_tsdb::DEFAULT_SAMPLE_PERIOD,
-    );
-    let (scaled_windows, peak_permille) = cp.autoscaler_activity(
-        run.topology.num_clusters() as u16,
-        run.config.scale.duration,
-    );
+    }
+    // Without a plane nothing strikes, so capacity never leaves 1.0.
+    let (scaled_windows, peak_permille) = fault_plane(run).map_or((0, 1000), |mut plane| {
+        plane.autoscaler_activity(
+            run.topology.num_clusters() as u16,
+            run.config.scale.duration,
+        )
+    });
     let c = &run.telemetry.counters.control;
     vec![
         ("autoscaler_scaled_windows".to_string(), scaled_windows),
