@@ -26,7 +26,6 @@ use crate::catalog::{Catalog, CatalogConfig, ServiceCategory, ServiceHot};
 use crate::control::{admission_verdict, AdmissionVerdict};
 use crate::faults::{Disruption, FaultPlane, FaultScenario};
 use crate::pool;
-use crate::streamagg;
 use crate::workload::{RootArrival, Workload};
 use rpclens_cluster::exogenous::ExogenousProfile;
 use rpclens_cluster::machine::{Machine, MachineConfig, MachineId};
@@ -125,9 +124,10 @@ impl SimScale {
     /// 1,024 trace trees and the profiler keeps at most 256
     /// normalized-cycle samples per method (both pure retention
     /// decisions: every tree is still simulated and every cycle still
-    /// counted; see `docs/PERFORMANCE.md`). Aggregation state streams
-    /// through `crate::streamagg` one window at a time. The measured
-    /// budget is documented in `docs/PERFORMANCE.md` and gated by
+    /// counted; see `docs/PERFORMANCE.md`). Window aggregation is one
+    /// dense table per shard: 48 half-hour rows × (401 services + 5
+    /// driver lanes) u64s, about 156 KB. The measured budget is
+    /// documented in `docs/PERFORMANCE.md` and gated by
     /// `bench-ceiling rss` in CI.
     pub fn fleet() -> Self {
         SimScale {
@@ -340,19 +340,32 @@ struct TraceCtx {
     /// Global sequence number of this trace's root (shard-invariant);
     /// seeds the profiler's deterministic sample tags.
     seq: u64,
-    /// Fault-model errors injected while expanding this trace.
-    errors: u64,
-    /// Wire traversals of this trace that hit a congestion episode.
-    congested_wire: u64,
     /// Per-trace retry budget (present only when the scenario retries).
     retry_budget: Option<RetryBudget>,
-    /// Retry attempts issued while expanding this trace.
-    retries: u64,
-    /// Calls shed at a bounded admission queue while expanding this trace.
-    admission_shed: u64,
-    /// Calls abandoned at a bounded admission queue while expanding this
-    /// trace.
-    admission_abandoned: u64,
+}
+
+/// The driver self-telemetry lanes of a window-table row, after the
+/// per-service call counts. Each lane is the per-window delta of one
+/// [`ShardCounters`] field (see [`Shard::driver_lanes`]); the TSDB's
+/// sixth driver stream, `driver/rpcs/count`, is the row's service sum.
+const DRIVER_LANES: [&str; 5] = [
+    "driver/errors/count",
+    "driver/wire/congested",
+    "driver/retries/count",
+    "driver/admission/shed",
+    "driver/admission/abandoned",
+];
+
+/// A uniform index into `0..len` other than `skip`: one draw over the
+/// `len - 1` remaining slots. The re-pick behind every failover and
+/// load-balancer shift.
+fn index_other_than(rng: &mut Prng, len: usize, skip: usize) -> usize {
+    let j = rng.index(len - 1);
+    if j >= skip {
+        j + 1
+    } else {
+        j
+    }
 }
 
 /// Outcome of one placed call as seen by the caller.
@@ -614,6 +627,11 @@ impl Driver {
         }
     }
 
+    /// Cells per window-table row: one per service, then [`DRIVER_LANES`].
+    fn window_lanes(&self) -> usize {
+        self.catalog.num_services() + DRIVER_LANES.len()
+    }
+
     /// The site of a deployed (service, cluster) pair.
     #[inline]
     fn site(&self, service: ServiceId, cluster: ClusterId) -> &ServiceSite {
@@ -682,29 +700,14 @@ impl Driver {
         let shards = roots.len().div_ceil(chunk).max(1);
         let threads = self.config.threads.clamp(1, shards);
 
-        // Streaming window aggregation (`crate::streamagg`): the sink
-        // receives finalized windows while shards are still running, so
-        // no shard ever materializes the full `(service, window)` grid.
-        // `first_windows[j]` is the window of shard j's first root —
-        // non-decreasing in j because roots are in arrival order — and
-        // bounds which merged windows are final once shard j has folded.
-        let window = rpclens_tsdb::DEFAULT_SAMPLE_PERIOD;
-        let sink = streamagg::WindowSink::new(self.catalog.num_services(), window.as_nanos());
-        let first_windows: Vec<usize> = (0..shards)
-            .map(|j| {
-                roots
-                    .get(j * chunk)
-                    .map_or(0, |r| (r.at.as_nanos() / window.as_nanos()) as usize)
-            })
-            .collect();
-
         // Workers claim shard ids from a shared counter and stream each
         // completed shard into an order-restoring fold (`crate::pool`):
         // the accumulator absorbs shard i only after shards 0..i, so the
         // merged result is bit-identical to the sequential run at any
         // thread count — every accumulator either commutes (integer
-        // counters, histograms) or is order-sensitive but folded over
-        // contiguous partitions in sequence order (the trace store).
+        // counters, histograms, the window table) or is order-sensitive
+        // but folded over contiguous partitions in sequence order (the
+        // trace store).
         // Folding eagerly also bounds memory: at most ~`threads` shard
         // accumulators are resident at once, not `shards` of them.
         let simulate_start = Instant::now();
@@ -716,18 +719,9 @@ impl Driver {
             |id| {
                 let shard_start = Instant::now();
                 let mut shard = Shard::new(&self);
-                if id == 0 {
-                    // Shard 0 streams closed windows straight to the sink:
-                    // anything it closes mid-run is below every other
-                    // shard's first window, so it is already final. (Its
-                    // final *open* window stays in `closed` — shard 1 may
-                    // share it.)
-                    shard.live = Some(&sink);
-                }
                 let lo = id * chunk;
                 let hi = (lo + chunk).min(roots.len());
                 shard.run_roots(&roots[lo..hi], lo, &collector);
-                shard.seal();
                 {
                     let mut done = reports.lock().expect("report lock");
                     done.push(ShardReport {
@@ -760,20 +754,9 @@ impl Driver {
                 }
                 shard
             },
-            |acc, next, id| {
+            |acc, next| {
                 let merge_start = Instant::now();
                 acc.absorb(next);
-                // Eager window flush: after shard `id` folds, every
-                // accumulated window below shard `id + 1`'s first window
-                // can never receive another contribution — stream it to
-                // the sink and drop it, so merged window state never
-                // accumulates across the run.
-                if let Some(&bound) = first_windows.get(id + 1) {
-                    let cut = acc.closed.partition_point(|cw| cw.w < bound);
-                    for cw in acc.closed.drain(..cut) {
-                        sink.push(&cw);
-                    }
-                }
                 *merge_ms.lock().expect("merge-time lock") +=
                     merge_start.elapsed().as_secs_f64() * 1e3;
             },
@@ -789,63 +772,60 @@ impl Driver {
             errors,
             method_calls,
             method_bytes,
-            closed,
+            windows,
             counters,
             total_spans,
             ..
         } = merged;
         debug_assert_eq!(counters.spans, total_spans);
 
-        // Final window flush: whatever the last fold could not prove
-        // final (at most the tail windows at or above the last shard's
-        // first window) drains now.
-        for cw in &closed {
-            sink.push(cw);
-        }
-
-        // Flush counters and representative exogenous gauges to the TSDB.
+        // Flush the window table and representative exogenous gauges to
+        // the TSDB, as cumulative counters on the window grid.
         let tsdb_start = Instant::now();
+        let window = rpclens_tsdb::DEFAULT_SAMPLE_PERIOD;
         let retention = SimDuration::from_hours(24 * 700);
         let mut tsdb = TimeSeriesDb::new(window);
-        tsdb.register(MetricDescriptor::counter("rpc/server/count", retention))
-            .expect("fresh tsdb");
         tsdb.register(MetricDescriptor::gauge(
             "machine/cpu/utilization",
             retention,
         ))
         .expect("fresh tsdb");
-        // Driver self-telemetry streams: live fleet metrics the
-        // observability plane's detectors read back per window.
-        tsdb.register(MetricDescriptor::counter("driver/rpcs/count", retention))
-            .expect("fresh tsdb");
-        tsdb.register(MetricDescriptor::counter("driver/errors/count", retention))
-            .expect("fresh tsdb");
-        tsdb.register(MetricDescriptor::counter(
-            "driver/wire/congested",
-            retention,
-        ))
-        .expect("fresh tsdb");
-        tsdb.register(MetricDescriptor::counter("driver/retries/count", retention))
-            .expect("fresh tsdb");
-        tsdb.register(MetricDescriptor::counter(
-            "driver/admission/shed",
-            retention,
-        ))
-        .expect("fresh tsdb");
-        tsdb.register(MetricDescriptor::counter(
-            "driver/admission/abandoned",
-            retention,
-        ))
-        .expect("fresh tsdb");
-        // Install the streamed counter series. The sink accumulated
-        // exactly the point streams the retired dense-grid scan produced
-        // — skip-zero per-service rows, aligned driver streams on every
-        // window with at least one call — as the `streamagg` equivalence
-        // proptest pins, so the resulting TSDB is byte-identical.
-        sink.install(&mut tsdb, |svc| {
-            self.catalog.service(ServiceId(svc)).name.clone()
-        })
-        .expect("registered");
+        // The per-service call counters, then the driver self-telemetry
+        // streams the observability plane's detectors read back per
+        // window.
+        for name in ["rpc/server/count", "driver/rpcs/count"]
+            .into_iter()
+            .chain(DRIVER_LANES)
+        {
+            tsdb.register(MetricDescriptor::counter(name, retention))
+                .expect("fresh tsdb");
+        }
+        // A service's series has a point in each window it was called in
+        // and none at all if it never was; the driver streams share one
+        // window set, every window with at least one call.
+        let lanes = self.window_lanes();
+        let n_services = self.catalog.num_services();
+        let rows = || windows.chunks_exact(lanes).enumerate();
+        for svc in self.catalog.services() {
+            let s = svc.id.0 as usize;
+            let labels = Labels::from_pairs([("service", svc.name.clone())]);
+            let calls = rows().map(|(w, row)| (w, row[s])).filter(|&(_, c)| c != 0);
+            tsdb.write_cumulative("rpc/server/count", labels, calls)
+                .expect("registered");
+        }
+        let active: Vec<(usize, &[u64])> = rows()
+            .filter(|(_, row)| row[..n_services].iter().any(|&c| c != 0))
+            .collect();
+        let rpcs = active
+            .iter()
+            .map(|&(w, row)| (w, row[..n_services].iter().sum()));
+        tsdb.write_cumulative("driver/rpcs/count", Labels::empty(), rpcs)
+            .expect("registered");
+        for (k, name) in DRIVER_LANES.into_iter().enumerate() {
+            let deltas = active.iter().map(|&(w, row)| (w, row[n_services + k]));
+            tsdb.write_cumulative(name, Labels::empty(), deltas)
+                .expect("registered");
+        }
         for svc in self.catalog.services().iter().take(12) {
             for site in svc.clusters.iter().take(4) {
                 if let Some(s) = self.sites.get(svc.id.0, site.0) {
@@ -910,18 +890,12 @@ struct Shard<'a> {
     errors: ErrorAccounting,
     method_calls: Vec<u64>,
     method_bytes: Vec<u64>,
-    /// Streaming window accumulator: the open window's dense per-service
-    /// column plus root-keyed scalar deltas, O(services) resident.
-    agg: streamagg::WindowAgg,
-    /// Windows this shard closed that are not yet known to be final:
-    /// ascending, sparse. Shard 0 streams its mid-run closures straight
-    /// to the sink, so this holds at most its final open window; other
-    /// shards buffer until the ordered fold proves their windows final.
-    closed: Vec<streamagg::ClosedWindow>,
-    /// The shared sink, present only on the shard allowed to stream
-    /// live (shard 0 — every window it closes mid-run precedes every
-    /// other shard's first window).
-    live: Option<&'a streamagg::WindowSink>,
+    /// Dense window table, row-major: one row per aggregation window of
+    /// the simulated duration (`duration / DEFAULT_SAMPLE_PERIOD`,
+    /// rounded up), each row [`Driver::window_lanes`] cells — the
+    /// per-service call counts, then the [`DRIVER_LANES`] deltas. A
+    /// root's spans and deltas all land in the root's window.
+    windows: Vec<u64>,
     /// Disruption plane: per-entity faults, correlated incidents and
     /// controller timelines, all seed-derived and never fed shard-local
     /// counters, so identical in every shard. `None` when the scenario
@@ -939,6 +913,8 @@ struct Shard<'a> {
 impl<'a> Shard<'a> {
     fn new(world: &'a Driver) -> Self {
         let n_methods = world.catalog.num_methods();
+        let period = rpclens_tsdb::DEFAULT_SAMPLE_PERIOD.as_nanos();
+        let window_rows = world.config.scale.duration.as_nanos().div_ceil(period) as usize;
         Shard {
             world,
             network: Network::new(
@@ -952,9 +928,7 @@ impl<'a> Shard<'a> {
             errors: ErrorAccounting::new(),
             method_calls: vec![0; n_methods],
             method_bytes: vec![0; n_methods],
-            agg: streamagg::WindowAgg::new(world.catalog.num_services()),
-            closed: Vec::new(),
-            live: None,
+            windows: vec![0; window_rows * world.window_lanes()],
             faults: FaultPlane::new(
                 &world.config.faults,
                 world.config.scale.seed,
@@ -994,8 +968,6 @@ impl<'a> Shard<'a> {
                 budget: self.world.config.max_trace_spans,
                 rng: self.world.master_rng.substream(seq as u64),
                 seq: seq as u64,
-                errors: 0,
-                congested_wire: 0,
                 retry_budget: self
                     .world
                     .config
@@ -1003,9 +975,6 @@ impl<'a> Shard<'a> {
                     .retry
                     .filter(|_| self.world.config.retry_budget_enabled)
                     .map(|rs| RetryBudget::new(rs.budget_ratio, rs.budget_cap)),
-                retries: 0,
-                admission_shed: 0,
-                admission_abandoned: 0,
             };
             // Root deadline: log-uniform between the budget bounds —
             // the scenario-wide bounds in global mode (spanning
@@ -1027,6 +996,7 @@ impl<'a> Shard<'a> {
             let client_util =
                 self.world.client_profiles[root.client_cluster.0 as usize].cpu_util_at(root.at);
             let entry_service = self.world.catalog.hot(root.method).service;
+            let lanes_before = self.driver_lanes();
             let outcome = self.place_call(
                 &mut ctx,
                 root.method,
@@ -1043,28 +1013,20 @@ impl<'a> Shard<'a> {
             self.counters
                 .root_latency_us
                 .record(outcome.finish.since(root.at).as_nanos() / 1_000);
-            // Window accounting for every span, sampled or not. All of a
-            // root's spans land in the *root's* window; roots arrive in
-            // time order, so crossing a window boundary closes the open
-            // window — final immediately for the live shard, buffered
-            // for the ordered fold otherwise.
+            // Window accounting for every span, sampled or not: all of a
+            // root's spans, and its share of each driver lane, land in
+            // the *root's* window row.
+            let lanes_after = self.driver_lanes();
+            let lanes = self.world.window_lanes();
             let w = (root.at.as_nanos() / window.as_nanos()) as usize;
-            if let Some(cw) = self.agg.advance(w) {
-                match self.live {
-                    Some(sink) => sink.push(&cw),
-                    None => self.closed.push(cw),
-                }
-            }
+            let row = &mut self.windows[w * lanes..(w + 1) * lanes];
             for span in &ctx.spans {
-                self.agg.add_call(span.service.0);
+                row[span.service.0 as usize] += 1;
             }
-            self.agg.add_scalars(
-                ctx.errors,
-                ctx.congested_wire,
-                ctx.retries,
-                ctx.admission_shed,
-                ctx.admission_abandoned,
-            );
+            let driver = &mut row[lanes - DRIVER_LANES.len()..];
+            for ((cell, after), before) in driver.iter_mut().zip(lanes_after).zip(lanes_before) {
+                *cell += after - before;
+            }
             // Retention: sampling decides whether the spans are *kept*,
             // never whether they are simulated. A sampled trace copies
             // the exact-length span list out of the arena.
@@ -1078,20 +1040,21 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Closes the final open window into the shard's closed-window log.
-    ///
-    /// Called once, after the shard's last root. Even the live shard
-    /// buffers its final window instead of streaming it: the next shard
-    /// in id order may have roots in the same window, and only the
-    /// ordered fold can coalesce the two halves.
-    fn seal(&mut self) {
-        if let Some(cw) = self.agg.finish() {
-            self.closed.push(cw);
-        }
+    /// The running totals behind [`DRIVER_LANES`], in lane order; a
+    /// root's lane deltas are the difference across its expansion.
+    fn driver_lanes(&self) -> [u64; DRIVER_LANES.len()] {
+        let c = &self.counters;
+        [
+            c.errors_injected,
+            c.wire.congested,
+            c.resilience.retries_issued,
+            c.control.admission_shed,
+            c.control.admission_abandoned,
+        ]
     }
 
     /// Folds `other` (the next shard in id order) into this one.
-    fn absorb(&mut self, mut other: Shard<'_>) {
+    fn absorb(&mut self, other: Shard<'_>) {
         self.store.merge(other.store);
         self.profiler.merge(other.profiler);
         self.errors.merge(&other.errors);
@@ -1101,7 +1064,9 @@ impl<'a> Shard<'a> {
         for (a, b) in self.method_bytes.iter_mut().zip(&other.method_bytes) {
             *a += b;
         }
-        streamagg::absorb_closed(&mut self.closed, std::mem::take(&mut other.closed));
+        for (a, b) in self.windows.iter_mut().zip(&other.windows) {
+            *a += b;
+        }
         self.counters.absorb(&other.counters);
         self.total_spans += other.total_spans;
     }
@@ -1183,7 +1148,6 @@ impl<'a> Shard<'a> {
                 }
             }
             self.counters.resilience.retries_issued += 1;
-            ctx.retries += 1;
             avoid = res.server.map(|(cluster, machine)| Avoid {
                 cluster,
                 machine,
@@ -1265,10 +1229,10 @@ impl<'a> Shard<'a> {
         };
         let hedge_latency = hedged.outcome.finish.since(hedge_start);
         let resolution = resolve_hedge(primary_latency, hedge_latency, delay);
-        let (loser_idx, loser_run) = if resolution.hedge_won {
-            (primary_idx, resolution.loser_run_time)
+        let loser_idx = if resolution.hedge_won {
+            primary_idx
         } else {
-            (hedge_idx, resolution.loser_run_time)
+            hedge_idx
         };
         let winner = if resolution.hedge_won {
             &hedged
@@ -1292,7 +1256,6 @@ impl<'a> Shard<'a> {
         loser.error = Some(ErrorKind::Cancelled);
         loser.hedged = true;
         ctx.spans[hedge_idx as usize].hedged = true;
-        let _ = loser_run;
         // Depth-first expansion makes the loser's subtree a contiguous
         // index range: it ends at the first span whose parent precedes
         // the loser (or at another root, for hedged root calls).
@@ -1382,11 +1345,7 @@ impl<'a> Shard<'a> {
         if let Some(av) = avoid {
             if av.cluster_level && deployed.len() > 1 {
                 if let Some(pos) = deployed.iter().position(|&c| c == av.cluster) {
-                    let mut j = ctx.rng.index(deployed.len() - 1);
-                    if j >= pos {
-                        j += 1;
-                    }
-                    server_cluster = deployed[j];
+                    server_cluster = deployed[index_other_than(&mut ctx.rng, deployed.len(), pos)];
                     self.counters.resilience.failovers += 1;
                 }
             }
@@ -1404,11 +1363,7 @@ impl<'a> Shard<'a> {
                 .is_some_and(|plane| plane.lb_avoids(client_cluster.0, server_cluster.0, t));
         if shift {
             if let Some(pos) = deployed.iter().position(|&c| c == server_cluster) {
-                let mut j = ctx.rng.index(deployed.len() - 1);
-                if j >= pos {
-                    j += 1;
-                }
-                server_cluster = deployed[j];
+                server_cluster = deployed[index_other_than(&mut ctx.rng, deployed.len(), pos)];
                 self.counters.control.lb_shifts += 1;
             }
         }
@@ -1420,11 +1375,7 @@ impl<'a> Shard<'a> {
                 && av.machine < site.machines.len()
                 && site.machines.len() > 1
             {
-                let mut j = ctx.rng.index(site.machines.len() - 1);
-                if j >= av.machine {
-                    j += 1;
-                }
-                mi = j;
+                mi = index_other_than(&mut ctx.rng, site.machines.len(), av.machine);
                 self.counters.resilience.failovers += 1;
             }
         }
@@ -1452,7 +1403,6 @@ impl<'a> Shard<'a> {
             &mut ctx.rng,
         );
         self.counters.wire.record(req_congested);
-        ctx.congested_wire += u64::from(req_congested);
         let req_net = req_net + disruption.brownout;
         breakdown.set(LatencyComponent::RequestNetworkWire, req_net);
         t += req_net;
@@ -1510,13 +1460,11 @@ impl<'a> Shard<'a> {
                 AdmissionVerdict::Shed => {
                     self.counters.control.admission_shed += 1;
                     self.counters.resilience.load_sheds += 1;
-                    ctx.admission_shed += 1;
                     cluster_level = true;
                     Some(ErrorKind::NoResource)
                 }
                 AdmissionVerdict::Abandoned => {
                     self.counters.control.admission_abandoned += 1;
-                    ctx.admission_abandoned += 1;
                     Some(ErrorKind::Aborted)
                 }
             }
@@ -1529,7 +1477,6 @@ impl<'a> Shard<'a> {
         };
         if injected.is_some() {
             self.counters.errors_injected += 1;
-            ctx.errors += 1;
         }
 
         // 7. Handler compute.
@@ -1610,7 +1557,6 @@ impl<'a> Shard<'a> {
             &mut ctx.rng,
         );
         self.counters.wire.record(resp_congested);
-        ctx.congested_wire += u64::from(resp_congested);
         let resp_net = resp_net + disruption.brownout;
         breakdown.set(LatencyComponent::ResponseNetworkWire, resp_net);
         t += resp_net;
@@ -1626,7 +1572,6 @@ impl<'a> Shard<'a> {
             (None, Some(d)) if d.expired(t) => {
                 self.counters.resilience.deadline_exceeded += 1;
                 self.counters.errors_injected += 1;
-                ctx.errors += 1;
                 Some(ErrorKind::DeadlineExceeded)
             }
             (injected, _) => injected,
@@ -1871,6 +1816,42 @@ mod tests {
                 .any(|(_, r)| *r > 0.0)
         });
         assert!(has_rate);
+    }
+
+    #[test]
+    fn window_streams_total_the_shard_counters() {
+        // Each driver stream ends at the run-wide counter its per-root
+        // deltas are diffed from, and the per-service streams add up to
+        // every simulated span: the window table counts each event once.
+        let faults = FaultScenario::by_name("incident-smoke").expect("preset");
+        let mut config = FleetConfig::at_scale(SimScale::smoke()).with_faults(faults);
+        config.shards = 3;
+        let run = run_fleet(config);
+        let last = |name: &str, labels: &Labels| {
+            run.tsdb
+                .series(name, labels)
+                .and_then(|s| s.latest()?.1.as_counter())
+                .unwrap_or(0)
+        };
+        let c = &run.telemetry.counters;
+        let totals = [
+            c.errors_injected,
+            c.wire.congested,
+            c.resilience.retries_issued,
+            c.control.admission_shed,
+            c.control.admission_abandoned,
+        ];
+        for (name, total) in DRIVER_LANES.into_iter().zip(totals) {
+            assert!(total > 0, "{name} never fired");
+            assert_eq!(last(name, &Labels::empty()), total, "{name}");
+        }
+        assert_eq!(last("driver/rpcs/count", &Labels::empty()), run.total_spans);
+        let served: u64 = run
+            .tsdb
+            .series_of("rpc/server/count")
+            .map(|(labels, _)| last("rpc/server/count", labels))
+            .sum();
+        assert_eq!(served, run.total_spans);
     }
 
     #[test]

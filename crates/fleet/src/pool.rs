@@ -17,9 +17,10 @@
 //!   chunks are contiguous in arrival time, so diurnal-peak shards carry
 //!   more spans than off-peak ones.
 //! - [`OrderedFold`] — the streaming, order-restoring merge. Workers
-//!   finish shards in a nondeterministic order, but every accumulator
-//!   must be folded in shard-id order (the trace store is
-//!   order-sensitive; see `docs/ARCHITECTURE.md`). `OrderedFold` is a
+//!   finish shards in a nondeterministic order. Most of a shard's
+//!   accumulators are commutative sums (counters, histograms, the window
+//!   table), but the trace store is order-sensitive and must be folded in
+//!   shard-id order (see `docs/ARCHITECTURE.md`). `OrderedFold` is a
 //!   reorder buffer: completed shards are pushed in any order, and the
 //!   fold function is applied exactly in index order, as early as
 //!   possible. Folding eagerly (instead of collecting all shards and
@@ -79,17 +80,12 @@ impl<T> OrderedFold<T> {
     /// Offers item `index`, folding every item that is now unblocked.
     ///
     /// The first item (index 0) seeds the accumulator; each subsequent
-    /// in-order item is merged with `fold(&mut acc, item, index)`, where
-    /// `index` is the id of the item being folded. The index lets the
-    /// fold make frontier decisions — the fleet driver uses it to flush
-    /// every aggregation window no later shard can touch the moment
-    /// shard `index` folds, which is what keeps merged window state from
-    /// accumulating across the whole run.
+    /// in-order item is merged with `fold(&mut acc, item)`.
     ///
     /// # Panics
     /// Panics if `index` was already folded or is already parked — both
     /// indicate a duplicate claim, which the pool can never produce.
-    pub fn push(&mut self, index: usize, item: T, mut fold: impl FnMut(&mut T, T, usize)) {
+    pub fn push(&mut self, index: usize, item: T, mut fold: impl FnMut(&mut T, T)) {
         assert!(
             index >= self.next && !self.parked.contains_key(&index),
             "duplicate shard index {index} pushed to OrderedFold"
@@ -101,7 +97,7 @@ impl<T> OrderedFold<T> {
                     debug_assert_eq!(self.next, 0);
                     self.acc = Some(item);
                 }
-                Some(acc) => fold(acc, item, self.next),
+                Some(acc) => fold(acc, item),
             }
             self.next += 1;
         }
@@ -138,7 +134,7 @@ impl<T> OrderedFold<T> {
 ///
 /// - `work(shard_id)` builds and runs one shard; it is called at most
 ///   once per id, from whichever worker claims the id first.
-/// - `fold(acc, next, id)` merges completed shard `id` into the
+/// - `fold(acc, next)` merges the next completed shard into the
 ///   accumulator; calls are strictly in shard-id order (item 0 seeds
 ///   the accumulator). The fold runs under a mutex on the worker that
 ///   closed the gap — cheap relative to simulation, and it lets shard
@@ -154,7 +150,7 @@ pub fn run_shards<T: Send>(
     n_shards: usize,
     threads: usize,
     work: impl Fn(usize) -> T + Sync,
-    fold: impl Fn(&mut T, T, usize) + Sync,
+    fold: impl Fn(&mut T, T) + Sync,
 ) -> T {
     assert!(n_shards > 0, "run_shards needs at least one shard");
     let threads = threads.clamp(1, n_shards);
@@ -201,11 +197,11 @@ mod tests {
         // Push 3,2,1,0: everything parks until 0 arrives, then the whole
         // chain folds at once, in index order.
         for i in (1..4).rev() {
-            f.push(i, vec![i], |a: &mut Vec<usize>, b, _| a.extend(b));
+            f.push(i, vec![i], |a: &mut Vec<usize>, b| a.extend(b));
             assert_eq!(f.folded(), 0);
         }
         assert_eq!(f.parked(), 3);
-        f.push(0, vec![0], |a, b, _| a.extend(b));
+        f.push(0, vec![0], |a, b| a.extend(b));
         assert_eq!(f.folded(), 4);
         assert_eq!(f.finish(), vec![0, 1, 2, 3]);
     }
@@ -213,7 +209,7 @@ mod tests {
     #[test]
     fn ordered_fold_interleaved() {
         let mut f = OrderedFold::new();
-        let fold = |a: &mut String, b: String, _: usize| a.push_str(&b);
+        let fold = |a: &mut String, b: String| a.push_str(&b);
         f.push(1, "b".to_string(), fold);
         f.push(0, "a".to_string(), fold);
         assert_eq!(f.folded(), 2);
@@ -223,31 +219,18 @@ mod tests {
     }
 
     #[test]
-    fn ordered_fold_reports_folded_index() {
-        // The fold sees the id of the item being merged, not the push
-        // order: push 2,1,0 and the fold still observes ids 1 then 2.
-        let mut seen = Vec::new();
-        let mut f = OrderedFold::new();
-        f.push(2, (), |_, _, id| seen.push(id));
-        f.push(1, (), |_, _, id| seen.push(id));
-        f.push(0, (), |_, _, id| seen.push(id));
-        f.finish();
-        assert_eq!(seen, vec![1, 2]);
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate shard index")]
     fn ordered_fold_rejects_duplicates() {
         let mut f = OrderedFold::new();
-        f.push(0, 1u64, |a, b, _| *a += b);
-        f.push(0, 2u64, |a, b, _| *a += b);
+        f.push(0, 1u64, |a, b| *a += b);
+        f.push(0, 2u64, |a, b| *a += b);
     }
 
     #[test]
     #[should_panic(expected = "unfolded items parked")]
     fn ordered_fold_rejects_gaps() {
         let mut f = OrderedFold::new();
-        f.push(1, 1u64, |a, b, _| *a += b);
+        f.push(1, 1u64, |a, b| *a += b);
         f.finish();
     }
 
@@ -256,12 +239,7 @@ mod tests {
         // Order-sensitive fold (string concat) so any ordering bug shows.
         let expect: String = (0..23).map(|i| format!("[{i}]")).collect();
         for threads in [1usize, 2, 4, 8, 23, 64] {
-            let got = run_shards(
-                23,
-                threads,
-                |id| format!("[{id}]"),
-                |a, b, _| a.push_str(&b),
-            );
+            let got = run_shards(23, threads, |id| format!("[{id}]"), |a, b| a.push_str(&b));
             assert_eq!(got, expect, "threads={threads}");
         }
     }
@@ -277,7 +255,7 @@ mod tests {
                 assert_eq!(std::thread::current().id(), caller);
                 id as u64
             },
-            |a, b, _| *a += b,
+            |a, b| *a += b,
         );
         assert_eq!(got, 6);
     }

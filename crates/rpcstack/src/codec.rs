@@ -2,10 +2,12 @@
 //!
 //! A small, self-describing framing: fixed magic/version, LEB128 varints
 //! for variable-size fields, and a CRC32 trailer over the entire frame.
-//! The simulator mostly reasons about *sizes*, but the codec is real — the
-//! fleet driver round-trips every traced request header through it, and
-//! the serialization microbenchmarks (Fig. 20's serialization tax) measure
-//! this code.
+//! The simulator mostly reasons about *sizes*, but the codec is real: the
+//! executed wire (`rpclens-rpcwire`'s message layer) frames every request
+//! and response with it, the trace exporter reuses its varint and CRC32
+//! primitives, and the serialization microbenchmarks (Fig. 20's
+//! serialization tax) measure this code. The fleet driver itself never
+//! encodes a frame.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 

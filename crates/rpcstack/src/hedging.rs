@@ -62,16 +62,13 @@ impl HedgePolicy {
     }
 }
 
-/// Outcome of a hedged pair: which copy won and how much work the loser
-/// performed before cancellation.
+/// Outcome of a hedged pair: which copy won, and when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HedgeOutcome {
     /// Completion time as observed by the caller.
     pub winner_latency: SimDuration,
     /// `true` if the hedge (second copy) won.
     pub hedge_won: bool,
-    /// How long the cancelled copy ran before being cancelled.
-    pub loser_run_time: SimDuration,
 }
 
 /// Resolves a hedged pair given both copies' would-be latencies.
@@ -85,23 +82,14 @@ pub fn resolve_hedge(
 ) -> HedgeOutcome {
     let hedge_finish = hedge_delay + hedge_latency;
     if hedge_finish < primary_latency {
-        // Hedge wins; the primary has been running the whole time.
         HedgeOutcome {
             winner_latency: hedge_finish,
             hedge_won: true,
-            loser_run_time: hedge_finish,
         }
     } else {
-        // Primary wins; the hedge ran from hedge_delay until the win (or
-        // never started if the primary finished first).
         HedgeOutcome {
             winner_latency: primary_latency,
             hedge_won: false,
-            loser_run_time: SimDuration::from_nanos(
-                primary_latency
-                    .as_nanos()
-                    .saturating_sub(hedge_delay.as_nanos()),
-            ),
         }
     }
 }
@@ -145,8 +133,6 @@ mod tests {
         );
         assert!(o.hedge_won);
         assert_eq!(o.winner_latency, SimDuration::from_millis(120));
-        // The cancelled primary ran until the hedge won.
-        assert_eq!(o.loser_run_time, SimDuration::from_millis(120));
     }
 
     #[test]
@@ -158,7 +144,6 @@ mod tests {
         );
         assert!(!o.hedge_won);
         assert_eq!(o.winner_latency, SimDuration::from_millis(150));
-        assert_eq!(o.loser_run_time, SimDuration::from_millis(50));
     }
 
     #[test]
@@ -169,8 +154,7 @@ mod tests {
             SimDuration::from_millis(100),
         );
         assert!(!o.hedge_won);
-        // The hedge never ran.
-        assert_eq!(o.loser_run_time, SimDuration::ZERO);
+        assert_eq!(o.winner_latency, SimDuration::from_millis(80));
     }
 
     #[test]
