@@ -86,14 +86,31 @@ impl ExogenousProfile {
         }
     }
 
-    /// Band-limited noise in `[-1, 1]`: hash noise per bucket, linearly
-    /// interpolated between bucket centers.
-    fn noise_at(&self, t: SimTime, stream: u64) -> f64 {
+    /// Band-limited noise in `[-1, 1]` for one stream: the per-bucket
+    /// `noise(stream, bucket)`, linearly interpolated between bucket centers.
+    #[inline]
+    fn noise_at(t: SimTime, stream: u64, noise: &impl Fn(u64, u64) -> f64) -> f64 {
         let bucket = t.as_nanos() / NOISE_BUCKET.as_nanos();
         let frac = (t.as_nanos() % NOISE_BUCKET.as_nanos()) as f64 / NOISE_BUCKET.as_nanos() as f64;
-        let a = bucket_noise(self.seed, stream, bucket);
-        let b = bucket_noise(self.seed, stream, bucket + 1);
+        let a = noise(stream, bucket);
+        let b = noise(stream, bucket + 1);
         a + (b - a) * frac
+    }
+
+    /// This profile's hashed noise source: `(stream, bucket)` to
+    /// [`bucket_noise`] under the profile's seed.
+    #[inline]
+    fn hashed(&self) -> impl Fn(u64, u64) -> f64 + '_ {
+        move |stream, bucket| bucket_noise(self.seed, stream, bucket)
+    }
+
+    /// The CPU utilization formula, with the noise source as a parameter.
+    #[inline]
+    fn cpu_util_with(&self, t: SimTime, noise: &impl Fn(u64, u64) -> f64) -> f64 {
+        let hour = (t.as_secs_f64() / 3600.0) % 24.0;
+        let diurnal = (std::f64::consts::TAU * (hour - self.peak_hour + 6.0) / 24.0).sin();
+        (self.base_util + self.diurnal_amp * diurnal + self.noise * Self::noise_at(t, 1, noise))
+            .clamp(0.02, 0.98)
     }
 
     /// Samples only the CPU utilization at instant `t`.
@@ -105,30 +122,37 @@ impl ExogenousProfile {
     /// input, ambient client-side load), which skips two `powf`s and six
     /// hashed noise lookups per call.
     pub fn cpu_util_at(&self, t: SimTime) -> f64 {
-        let hour = (t.as_secs_f64() / 3600.0) % 24.0;
-        let diurnal = (std::f64::consts::TAU * (hour - self.peak_hour + 6.0) / 24.0).sin();
-        (self.base_util + self.diurnal_amp * diurnal + self.noise * self.noise_at(t, 1))
-            .clamp(0.02, 0.98)
+        self.cpu_util_with(t, &self.hashed())
     }
 
     /// Samples the exogenous variables at instant `t`.
     pub fn sample(&self, t: SimTime) -> ExogenousVars {
-        let cpu_util = self.cpu_util_at(t);
+        self.sample_with(t, &self.hashed())
+    }
+
+    /// The one formula behind [`ExogenousProfile::sample`] and
+    /// [`ExogenousProfile::window_average`]; `noise(stream, bucket)` is
+    /// the per-bucket noise, hashed per call or held across a window walk.
+    #[inline]
+    fn sample_with(&self, t: SimTime, noise: &impl Fn(u64, u64) -> f64) -> ExogenousVars {
+        let cpu_util = self.cpu_util_with(t, noise);
 
         // Memory bandwidth tracks utilization sublinearly with its own
         // noise component.
-        let mem_frac =
-            (0.25 + 0.75 * cpu_util.powf(0.8) + 0.08 * self.noise_at(t, 2)).clamp(0.05, 1.0);
+        let mem_frac = (0.25 + 0.75 * cpu_util.powf(0.8) + 0.08 * Self::noise_at(t, 2, noise))
+            .clamp(0.05, 1.0);
         let mem_bw_gbps = self.mem_bw_peak_gbps * mem_frac;
 
         // Long scheduler wakeups grow superlinearly with utilization: a
         // nearly idle machine rarely preempts, a saturated one often does.
         let long_wakeup_rate =
-            (0.001 + 0.02 * cpu_util.powi(3) + 0.002 * self.noise_at(t, 3).abs()).clamp(0.0, 0.15);
+            (0.001 + 0.02 * cpu_util.powi(3) + 0.002 * Self::noise_at(t, 3, noise).abs())
+                .clamp(0.0, 0.15);
 
         // CPI degrades with memory pressure and sharing (cache/BW
         // contention), per the coupling observed in Fig. 17.
-        let cpi = (0.85 + 0.35 * cpu_util + 0.25 * mem_frac + 0.04 * self.noise_at(t, 4)).max(0.7);
+        let cpi = (0.85 + 0.35 * cpu_util + 0.25 * mem_frac + 0.04 * Self::noise_at(t, 4, noise))
+            .max(0.7);
 
         ExogenousVars {
             cpu_util,
@@ -141,9 +165,21 @@ impl ExogenousProfile {
     /// Averages the variables over a window (samples every minute), as the
     /// monitoring pipeline does when correlating with latency (Fig. 17
     /// aggregates over 30 minutes).
+    ///
+    /// Bit-identical to the mean of [`ExogenousProfile::sample`] at each
+    /// step, but each bucket's noise is hashed once, as the walk enters
+    /// it: a day at one-minute steps spans 289 buckets per stream, where
+    /// per-step sampling would hash 2,880. Always inlined, so a caller
+    /// that reads one variable (Fig. 22 reads `cpu_util`) compiles the
+    /// other three away.
+    #[inline(always)]
     pub fn window_average(&self, start: SimTime, window: SimDuration) -> ExogenousVars {
         let step = SimDuration::from_mins(1);
         let steps = (window.as_nanos() / step.as_nanos()).max(1);
+        let hash = |bucket: u64| [1, 2, 3, 4].map(|stream| bucket_noise(self.seed, stream, bucket));
+        // The two buckets around the current step, per stream.
+        let mut bucket = start.as_nanos() / NOISE_BUCKET.as_nanos();
+        let (mut lo, mut hi) = (hash(bucket), hash(bucket + 1));
         let mut acc = ExogenousVars {
             cpu_util: 0.0,
             mem_bw_gbps: 0.0,
@@ -151,7 +187,21 @@ impl ExogenousProfile {
             cpi: 0.0,
         };
         for i in 0..steps {
-            let v = self.sample(start + SimDuration::from_nanos(i * step.as_nanos()));
+            let t = start + SimDuration::from_nanos(i * step.as_nanos());
+            let b = t.as_nanos() / NOISE_BUCKET.as_nanos();
+            if b != bucket {
+                // A one-minute step never skips a five-minute bucket.
+                debug_assert_eq!(b, bucket + 1);
+                (bucket, lo, hi) = (b, hi, hash(b + 1));
+            }
+            let v = self.sample_with(t, &move |stream, at| {
+                let s = stream as usize - 1;
+                if at == bucket {
+                    lo[s]
+                } else {
+                    hi[s]
+                }
+            });
             acc.cpu_util += v.cpu_util;
             acc.mem_bw_gbps += v.mem_bw_gbps;
             acc.long_wakeup_rate += v.long_wakeup_rate;
@@ -301,6 +351,63 @@ mod tests {
                 before.cpu_util,
                 after.cpu_util
             );
+        }
+    }
+
+    /// The mean of `sample` at one-minute steps, summed in the order
+    /// `window_average` sums: the reference the tabled kernel must match.
+    fn per_minute_mean(p: &ExogenousProfile, start: SimTime, mins: u64) -> [u64; 4] {
+        let mut acc = [0.0f64; 4];
+        for i in 0..mins {
+            let v = p.sample(start + SimDuration::from_mins(i));
+            for (a, x) in acc
+                .iter_mut()
+                .zip([v.cpu_util, v.mem_bw_gbps, v.long_wakeup_rate, v.cpi])
+            {
+                *a += x;
+            }
+        }
+        acc.map(|a| (a / mins as f64).to_bits())
+    }
+
+    #[test]
+    fn window_average_is_bit_identical_to_mean_of_samples() {
+        // A driver-shaped profile: peak hour in 13-16, per-machine seed.
+        let driver = ExogenousProfile {
+            base_util: 0.58,
+            diurnal_amp: 0.16,
+            peak_hour: 15.3,
+            noise: 0.05,
+            mem_bw_peak_gbps: 120.0,
+            seed: 0x1234_5678 ^ (7u64 << 32) ^ (3u64 << 8) ^ (2u64 << 48),
+        };
+        let profiles = [
+            ExogenousProfile::shared(11),
+            ExogenousProfile::busy(12),
+            ExogenousProfile::light(13),
+            driver,
+        ];
+        // (start, minutes): a full day from 0, Fig. 18's one-hour windows
+        // at non-zero starts, and windows that end mid-bucket or start
+        // off a bucket boundary.
+        let mut windows = vec![(SimTime::ZERO, 1_440)];
+        windows.extend((1..24).map(|h| (SimTime::ZERO + SimDuration::from_hours(h), 60)));
+        windows.extend([
+            (SimTime::ZERO, 37),
+            (SimTime::ZERO + SimDuration::from_mins(13), 22),
+            (SimTime::from_nanos(90_500_000_001), 1),
+        ]);
+        for p in &profiles {
+            for &(start, mins) in &windows {
+                let v = p.window_average(start, SimDuration::from_mins(mins));
+                let got = [v.cpu_util, v.mem_bw_gbps, v.long_wakeup_rate, v.cpi].map(f64::to_bits);
+                assert_eq!(
+                    got,
+                    per_minute_mean(p, start, mins),
+                    "seed {} {start:?}+{mins}m",
+                    p.seed
+                );
+            }
         }
     }
 

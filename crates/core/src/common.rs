@@ -31,8 +31,10 @@ impl MethodHeatmap {
     where
         F: Fn(&TraceData, &SpanRecord) -> f64,
     {
+        let mut methods: Vec<MethodId> = run.store.methods().collect();
+        methods.sort_unstable();
         let mut rows = Vec::new();
-        for (method, _) in query.eligible_methods(&run.store) {
+        for method in methods {
             if let Some(samples) = query.samples(&run.store, method, &metric) {
                 if let Some(summary) = QuantileSummary::from_samples(samples) {
                     rows.push(MethodRow { method, summary });
@@ -145,7 +147,7 @@ pub(crate) mod testrun {
 
     static RUN: OnceLock<FleetRun> = OnceLock::new();
 
-    /// The shared test run (~400 methods, 20k roots).
+    /// The shared test run (2,000 methods, 60,000 roots).
     pub fn shared() -> &'static FleetRun {
         RUN.get_or_init(|| {
             let scale = SimScale {
@@ -181,6 +183,33 @@ mod tests {
             .rows
             .windows(2)
             .all(|w| w[0].summary.p50 <= w[1].summary.p50));
+    }
+
+    #[test]
+    fn build_matches_eligible_then_samples_reference() {
+        let run = shared();
+        let q = paper_query();
+        let metric = |_: &TraceData, s: &SpanRecord| s.total_latency().as_secs_f64();
+        let mut reference = Vec::new();
+        for (method, _) in q.eligible_methods(&run.store) {
+            let samples = q.samples(&run.store, method, metric).expect("eligible");
+            if let Some(summary) = QuantileSummary::from_samples(samples) {
+                reference.push(MethodRow { method, summary });
+            }
+        }
+        reference.sort_by(|a, b| a.summary.p50.partial_cmp(&b.summary.p50).expect("finite"));
+        let bits = |rows: &[MethodRow]| -> Vec<(MethodId, usize, [u64; 7])> {
+            rows.iter()
+                .map(|r| {
+                    let s = r.summary;
+                    let qs = [s.p01, s.p10, s.p50, s.p90, s.p95, s.p99, s.mean];
+                    (r.method, s.count, qs.map(f64::to_bits))
+                })
+                .collect()
+        };
+        let hm = MethodHeatmap::build(run, &q, metric);
+        assert!(!reference.is_empty());
+        assert_eq!(bits(&hm.rows), bits(&reference));
     }
 
     #[test]

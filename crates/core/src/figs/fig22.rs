@@ -66,14 +66,15 @@ pub fn compute(run: &FleetRun) -> Fig22 {
         if sites.is_empty() {
             continue;
         }
-        let mut per_cluster: Vec<f64> = sites
+        let day_util: Vec<f64> = sites
             .iter()
-            .map(|s| s.load.window_average(SimTime::ZERO, day).cpu_util / ALLOCATION)
+            .map(|s| s.load.window_average(SimTime::ZERO, day).cpu_util)
             .collect();
+        let mut per_cluster: Vec<f64> = day_util.iter().map(|u| u / ALLOCATION).collect();
         per_cluster.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         // Median cluster's machines.
-        let median_site = sites[sites.len() / 2];
-        let base = median_site.load.window_average(SimTime::ZERO, day).cpu_util;
+        let mid = sites.len() / 2;
+        let (median_site, base) = (sites[mid], day_util[mid]);
         let mut per_machine: Vec<f64> = median_site
             .machine_offsets
             .iter()

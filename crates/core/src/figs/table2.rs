@@ -2,7 +2,9 @@
 
 use crate::check::ExpectationSet;
 use crate::render::TextTable;
-use rpclens_fleet::driver::FleetRun;
+use rpclens_cluster::exogenous::ExogenousVars;
+use rpclens_fleet::driver::{FleetRun, ServiceSite};
+use rpclens_fleet::pool::run_shards;
 use rpclens_simcore::time::{SimDuration, SimTime};
 
 /// One variable's definition and observed range.
@@ -25,12 +27,36 @@ pub struct Table2 {
     pub rows: Vec<VariableRow>,
 }
 
-/// Computes observed ranges across all deployment sites.
-pub fn compute(run: &FleetRun) -> Table2 {
+/// Each site's day average, in site order.
+///
+/// The sites are split into `threads` contiguous chunks averaged on the
+/// shard pool, which folds them in chunk order, so the result is the same
+/// at every thread count; with one thread nothing is spawned.
+pub(crate) fn day_averages(sites: &[ServiceSite], threads: usize) -> Vec<ExogenousVars> {
+    if sites.is_empty() {
+        return Vec::new();
+    }
     let day = SimDuration::from_hours(24);
+    let chunks: Vec<&[ServiceSite]> = sites.chunks(sites.len().div_ceil(threads.max(1))).collect();
+    run_shards(
+        chunks.len(),
+        threads,
+        |i| {
+            chunks[i]
+                .iter()
+                .map(|site| site.load.window_average(SimTime::ZERO, day))
+                .collect()
+        },
+        |acc: &mut Vec<ExogenousVars>, next| acc.extend(next),
+    )
+}
+
+/// Computes observed ranges across all deployment sites, sweeping them
+/// on the run's own thread budget.
+pub fn compute(run: &FleetRun) -> Table2 {
     let mut ranges = [[f64::MAX, f64::MIN]; 4];
-    for site in run.sites.values() {
-        let v = site.load.window_average(SimTime::ZERO, day);
+    let sites = run.sites.values().as_slice();
+    for v in day_averages(sites, run.telemetry.threads_used) {
         let vals = [v.cpu_util * 100.0, v.mem_bw_gbps, v.long_wakeup_rate, v.cpi];
         for (r, val) in ranges.iter_mut().zip(vals) {
             r[0] = r[0].min(val);
@@ -117,6 +143,23 @@ mod tests {
         let t2 = compute(shared());
         let c = checks(&t2);
         assert!(c.all_passed(), "{c}");
+    }
+
+    #[test]
+    fn day_averages_are_thread_invariant() {
+        let sites = shared().sites.values().as_slice();
+        let bits = |threads| -> Vec<[u64; 4]> {
+            day_averages(sites, threads)
+                .iter()
+                .map(|v| [v.cpu_util, v.mem_bw_gbps, v.long_wakeup_rate, v.cpi].map(f64::to_bits))
+                .collect()
+        };
+        let one = bits(1);
+        assert_eq!(one.len(), sites.len());
+        for threads in [2, 7, sites.len() + 3] {
+            assert_eq!(bits(threads), one, "threads={threads}");
+        }
+        assert!(day_averages(&[], 4).is_empty());
     }
 
     #[test]
