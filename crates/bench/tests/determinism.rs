@@ -14,6 +14,8 @@
 //!    row's `<scenario>.tsdb` digest of every TSDB series, the (1,1)
 //!    cell's deterministic and robustness sections, and its own
 //!    execution shape; each row then checks its scenario's invariants.
+//!    The `none` and `incident-smoke` rows also pin every rendered
+//!    artifact and its checks (`<scenario>.artifacts`).
 //! 2. **4k-root scale.** A full-retention run at shards 1, 2 and 8:
 //!    raw simulation outputs, every rendered artifact, every TSDB
 //!    series and the per-window detector samples, the manifest's
@@ -109,6 +111,23 @@ fn tsdb_digest(run: &FleetRun) -> u64 {
     }
     fnv1a(&bytes)
 }
+
+/// fnv1a over every artifact's rendered text and its checks, in
+/// `Artifact::ALL` order, as `produce` returns them: the value a
+/// `.artifacts` row of `crates/bench/DIGESTS` pins.
+fn artifacts_digest(run: &FleetRun) -> u64 {
+    let mut output = String::new();
+    for artifact in Artifact::ALL {
+        let (text, checks) = produce(artifact, Some(run));
+        output.push_str(&text);
+        output.push_str(&checks.to_string());
+    }
+    fnv1a(output.as_bytes())
+}
+
+/// The scenarios whose rendered artifacts are pinned as well: the
+/// fault-free run, and the one that exercises every disruption layer.
+const ARTIFACT_ROWS: [&str; 2] = ["none", "incident-smoke"];
 
 /// Smoke-matrix cells: every (shards, threads) in {1,4}², (1,1) first
 /// so it can serve as the reference.
@@ -232,6 +251,9 @@ fn smoke_matrix_holds_every_committed_digest() {
     for (scenario, invariants) in ROWS {
         let expected = committed_digest(scenario);
         let expected_tsdb = committed_digest(&format!("{scenario}.tsdb"));
+        let expected_artifacts = ARTIFACT_ROWS
+            .contains(&scenario)
+            .then(|| committed_digest(&format!("{scenario}.artifacts")));
         let mut reference: Option<RunManifest> = None;
         for (shards, threads) in CELLS {
             let faults = FaultScenario::by_name(scenario).expect("known preset");
@@ -250,6 +272,14 @@ fn smoke_matrix_holds_every_committed_digest() {
                 "{scenario}.tsdb digest drifted from crates/bench/DIGESTS at \
                  shards={shards} threads={threads}"
             );
+            if let Some(expected) = expected_artifacts {
+                assert_eq!(
+                    artifacts_digest(&run),
+                    expected,
+                    "{scenario}.artifacts digest drifted from crates/bench/DIGESTS at \
+                     shards={shards} threads={threads}"
+                );
+            }
             // Thread count is execution shape: recorded in the undigested
             // runtime section, clamped to the shard count.
             assert_eq!(manifest.runtime.shards, shards);
