@@ -63,8 +63,10 @@ pub fn top_methods(
         ..MethodQuery::default()
     };
     let metric_label = component.map_or("total latency", |c| c.label());
+    let mut methods: Vec<_> = store.methods().collect();
+    methods.sort_unstable();
     let mut rows: Vec<(u32, usize, f64, f64, f64)> = Vec::new();
-    for (method, count) in query.eligible_methods(store) {
+    for method in methods {
         let samples = match component {
             Some(c) => query.component_samples(store, method, c),
             None => query.latency_samples(store, method),
@@ -73,7 +75,7 @@ pub fn top_methods(
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
         rows.push((
             method.0,
-            count,
+            samples.len(),
             percentile(&samples, 0.50),
             percentile(&samples, 0.99),
             *samples.last().expect("non-empty"),
@@ -386,6 +388,22 @@ mod tests {
         let text = top_methods(&s, Some(LatencyComponent::ServerRecvQueue), 5, 1);
         let first_row = text.lines().nth(2).expect("a ranked row");
         assert!(first_row.trim_start().starts_with('2'), "{text}");
+    }
+
+    #[test]
+    fn top_methods_text_is_unchanged_on_the_smoke_run() {
+        // fnv1a of the tables the eligible-then-samples implementation
+        // rendered for this run, before the counting pass was dropped.
+        use rpclens_fleet::driver::SimScale;
+        use rpclens_fleet::faults::FaultScenario;
+        use rpclens_obs::manifest::fnv1a;
+        let run = crate::run_configured(SimScale::smoke(), Some(1), Some(1), FaultScenario::none());
+        let digest = |c| fnv1a(top_methods(&run.store, c, 20, 100).as_bytes());
+        assert_eq!(digest(None), 1412614239881871408);
+        assert_eq!(
+            digest(Some(LatencyComponent::ServerRecvQueue)),
+            147840142344609151
+        );
     }
 
     #[test]

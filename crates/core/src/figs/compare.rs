@@ -10,7 +10,6 @@ use crate::check::ExpectationSet;
 use crate::render::TextTable;
 use rpclens_fleet::baselines::{BaselineGenerator, BaselineKind, ShapeSummary, TreeShape};
 use rpclens_fleet::driver::FleetRun;
-use rpclens_trace::tree::TreeStats;
 
 /// One population's shape summary.
 #[derive(Debug)]
@@ -30,18 +29,13 @@ pub struct Compare {
 
 /// Computes the comparison (baselines sample 20,000 trees each).
 pub fn compute(run: &FleetRun) -> Compare {
-    // Our fleet's root-tree shapes from the trace store.
+    // Our fleet's root-tree shapes, from the trace store's index.
     let ours: Vec<TreeShape> = run
         .store
-        .traces()
+        .tree_shapes(run.telemetry.threads_used)
+        .roots
         .iter()
-        .map(|t| {
-            let stats = TreeStats::compute(t);
-            TreeShape {
-                descendants: stats.descendants[0],
-                depth: stats.max_depth,
-            }
-        })
+        .map(|&(descendants, depth)| TreeShape { descendants, depth })
         .collect();
     let mut rows = vec![PopulationRow {
         label: "This fleet (measured)".to_string(),

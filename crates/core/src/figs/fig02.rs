@@ -7,9 +7,10 @@
 //! seconds, with enormous within-method spread.
 
 use crate::check::ExpectationSet;
-use crate::common::{paper_query, MethodHeatmap};
-use crate::render::{fmt_secs, sketch_cdf, TextTable};
+use crate::common::MethodHeatmap;
+use crate::render::{fmt_secs, sketch_cdf};
 use rpclens_fleet::driver::FleetRun;
+use rpclens_trace::index::SpanMetric;
 
 /// The computed figure: the per-method latency heatmap.
 #[derive(Debug)]
@@ -20,32 +21,19 @@ pub struct Fig02 {
 
 /// Computes the figure from a fleet run.
 pub fn compute(run: &FleetRun) -> Fig02 {
-    let query = paper_query();
     Fig02 {
-        heatmap: MethodHeatmap::build(run, &query, |_, s| s.total_latency().as_secs_f64()),
+        heatmap: MethodHeatmap::of(run, SpanMetric::Latency),
     }
 }
 
 /// Renders the heatmap (sampled rows) and the across-method CDFs.
 pub fn render(fig: &Fig02) -> String {
     let hm = &fig.heatmap;
-    let mut t = TextTable::new(&["method#", "P1", "P10", "P50", "P90", "P99"]);
-    let step = (hm.len() / 20).max(1);
-    for (i, row) in hm.rows.iter().enumerate().step_by(step) {
-        t.row(vec![
-            i.to_string(),
-            fmt_secs(row.summary.p01),
-            fmt_secs(row.summary.p10),
-            fmt_secs(row.summary.p50),
-            fmt_secs(row.summary.p90),
-            fmt_secs(row.summary.p99),
-        ]);
-    }
     format!(
         "Fig. 2 — Per-method RPC completion time ({} methods, sorted by median)\n{}\n\
          CDF of per-method medians:\n{}\nCDF of per-method P99s:\n{}",
         hm.len(),
-        t.render(),
+        hm.table(20, &[0.01, 0.1, 0.5, 0.9, 0.99], "", fmt_secs),
         sketch_cdf(&hm.across_methods(0.5), fmt_secs),
         sketch_cdf(&hm.across_methods(0.99), fmt_secs),
     )

@@ -6,10 +6,9 @@
 
 use crate::check::ExpectationSet;
 use crate::common::MethodHeatmap;
-use crate::render::{sketch_cdf, TextTable};
+use crate::render::sketch_cdf;
 use rpclens_fleet::driver::FleetRun;
 use rpclens_simcore::stats::percentile;
-use rpclens_trace::query::{TreeShapeSamples, MIN_SAMPLES};
 
 /// The computed figure.
 #[derive(Debug)]
@@ -20,30 +19,19 @@ pub struct Fig04 {
 
 /// Computes per-method descendant counts from the trace store.
 pub fn compute(run: &FleetRun) -> Fig04 {
-    let shapes = TreeShapeSamples::compute(&run.store);
-    let samples: Vec<_> = shapes.descendants.into_iter().collect();
+    let shapes = run.store.tree_shapes(run.telemetry.threads_used);
     Fig04 {
-        heatmap: MethodHeatmap::from_samples(samples, MIN_SAMPLES),
+        heatmap: MethodHeatmap::from_stats(&shapes.descendants),
     }
 }
 
 /// Renders the figure.
 pub fn render(fig: &Fig04) -> String {
     let hm = &fig.heatmap;
-    let mut t = TextTable::new(&["method#", "P50", "P90", "P99"]);
-    let step = (hm.len() / 15).max(1);
-    for (i, row) in hm.rows.iter().enumerate().step_by(step) {
-        t.row(vec![
-            i.to_string(),
-            format!("{:.0}", row.summary.p50),
-            format!("{:.0}", row.summary.p90),
-            format!("{:.0}", row.summary.p99),
-        ]);
-    }
     format!(
         "Fig. 4 — Per-method descendants ({} methods)\n{}\nCDF of per-method P99 descendants:\n{}",
         hm.len(),
-        t.render(),
+        hm.table(15, &[0.5, 0.9, 0.99], "", |v| format!("{v:.0}")),
         sketch_cdf(&hm.across_methods(0.99), |v| format!("{v:.0}")),
     )
 }
@@ -76,12 +64,7 @@ pub fn checks(fig: &Fig04) -> ExpectationSet {
         1.0,
     );
     // Tail-to-median burstiness: P99 well above the median for most.
-    let ratio_heavy = hm
-        .rows
-        .iter()
-        .filter(|r| r.summary.p99 > (r.summary.p50 + 1.0) * 5.0)
-        .count() as f64
-        / hm.rows.len().max(1) as f64;
+    let ratio_heavy = hm.share_of_methods(|q| q.p99 > (q.p50 + 1.0) * 5.0);
     s.add(
         "fig4.bursty",
         "descendant tails are many times the median",

@@ -5,10 +5,9 @@
 
 use crate::check::ExpectationSet;
 use crate::common::MethodHeatmap;
-use crate::render::{sketch_cdf, TextTable};
+use crate::render::sketch_cdf;
 use rpclens_fleet::driver::FleetRun;
 use rpclens_simcore::stats::percentile;
-use rpclens_trace::query::{TreeShapeSamples, MIN_SAMPLES};
 
 /// The computed figure: ancestor and descendant heatmaps (the latter for
 /// the wider-than-deep comparison).
@@ -22,33 +21,20 @@ pub struct Fig05 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig05 {
-    let shapes = TreeShapeSamples::compute(&run.store);
+    let shapes = run.store.tree_shapes(run.telemetry.threads_used);
     Fig05 {
-        ancestors: MethodHeatmap::from_samples(shapes.ancestors.into_iter().collect(), MIN_SAMPLES),
-        descendants: MethodHeatmap::from_samples(
-            shapes.descendants.into_iter().collect(),
-            MIN_SAMPLES,
-        ),
+        ancestors: MethodHeatmap::from_stats(&shapes.ancestors),
+        descendants: MethodHeatmap::from_stats(&shapes.descendants),
     }
 }
 
 /// Renders the figure.
 pub fn render(fig: &Fig05) -> String {
     let hm = &fig.ancestors;
-    let mut t = TextTable::new(&["method#", "P50", "P90", "P99"]);
-    let step = (hm.len() / 15).max(1);
-    for (i, row) in hm.rows.iter().enumerate().step_by(step) {
-        t.row(vec![
-            i.to_string(),
-            format!("{:.0}", row.summary.p50),
-            format!("{:.0}", row.summary.p90),
-            format!("{:.0}", row.summary.p99),
-        ]);
-    }
     format!(
         "Fig. 5 — Per-method ancestors ({} methods)\n{}\nCDF of per-method P99 ancestors:\n{}",
         hm.len(),
-        t.render(),
+        hm.table(15, &[0.5, 0.9, 0.99], "", |v| format!("{v:.0}")),
         sketch_cdf(&hm.across_methods(0.99), |v| format!("{v:.0}")),
     )
 }

@@ -5,10 +5,11 @@
 //! ~11.8 KB and P99 ~196 KB — small bodies with a heavy tail.
 
 use crate::check::ExpectationSet;
-use crate::common::{paper_query, MethodHeatmap};
-use crate::render::{fmt_bytes, sketch_cdf, TextTable};
+use crate::common::MethodHeatmap;
+use crate::render::{fmt_bytes, sketch_cdf};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_simcore::stats::percentile;
+use rpclens_trace::index::SpanMetric;
 
 /// The computed figure.
 #[derive(Debug)]
@@ -21,31 +22,19 @@ pub struct Fig06 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig06 {
-    let query = paper_query();
     Fig06 {
-        requests: MethodHeatmap::build(run, &query, |_, s| s.request_bytes as f64),
-        responses: MethodHeatmap::build(run, &query, |_, s| s.response_bytes as f64),
+        requests: MethodHeatmap::of(run, SpanMetric::RequestBytes),
+        responses: MethodHeatmap::of(run, SpanMetric::ResponseBytes),
     }
 }
 
 /// Renders the figure.
 pub fn render(fig: &Fig06) -> String {
     let hm = &fig.requests;
-    let mut t = TextTable::new(&["method#", "P10", "P50", "P90", "P99"]);
-    let step = (hm.len() / 15).max(1);
-    for (i, row) in hm.rows.iter().enumerate().step_by(step) {
-        t.row(vec![
-            i.to_string(),
-            fmt_bytes(row.summary.p10),
-            fmt_bytes(row.summary.p50),
-            fmt_bytes(row.summary.p90),
-            fmt_bytes(row.summary.p99),
-        ]);
-    }
     format!(
         "Fig. 6 — Per-method request size ({} methods)\n{}\nCDF of per-method median request sizes:\n{}",
         hm.len(),
-        t.render(),
+        hm.table(15, &[0.1, 0.5, 0.9, 0.99], "", fmt_bytes),
         sketch_cdf(&hm.across_methods(0.5), fmt_bytes),
     )
 }
@@ -78,13 +67,7 @@ pub fn checks(fig: &Fig06) -> ExpectationSet {
     );
     // Heavy tails: per-method P99 is an order of magnitude above the
     // median for a large fraction of methods.
-    let heavy = fig
-        .requests
-        .rows
-        .iter()
-        .filter(|r| r.summary.p99 > r.summary.p50 * 8.0)
-        .count() as f64
-        / fig.requests.rows.len().max(1) as f64;
+    let heavy = fig.requests.share_of_methods(|q| q.p99 > q.p50 * 8.0);
     s.add(
         "fig6.heavy_tail",
         "P99 sizes are an order of magnitude above medians",

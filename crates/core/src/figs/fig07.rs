@@ -6,9 +6,10 @@
 //! both ways.
 
 use crate::check::ExpectationSet;
-use crate::common::{paper_query, MethodHeatmap};
-use crate::render::{sketch_cdf, TextTable};
+use crate::common::MethodHeatmap;
+use crate::render::sketch_cdf;
 use rpclens_fleet::driver::FleetRun;
+use rpclens_trace::index::SpanMetric;
 
 /// The computed figure.
 #[derive(Debug)]
@@ -19,31 +20,18 @@ pub struct Fig07 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig07 {
-    let query = paper_query();
     Fig07 {
-        heatmap: MethodHeatmap::build(run, &query, |_, s| {
-            s.response_bytes as f64 / (s.request_bytes as f64).max(1.0)
-        }),
+        heatmap: MethodHeatmap::of(run, SpanMetric::SizeRatio),
     }
 }
 
 /// Renders the figure.
 pub fn render(fig: &Fig07) -> String {
     let hm = &fig.heatmap;
-    let mut t = TextTable::new(&["method#", "P10", "P50", "P90"]);
-    let step = (hm.len() / 15).max(1);
-    for (i, row) in hm.rows.iter().enumerate().step_by(step) {
-        t.row(vec![
-            i.to_string(),
-            format!("{:.3}", row.summary.p10),
-            format!("{:.3}", row.summary.p50),
-            format!("{:.3}", row.summary.p90),
-        ]);
-    }
     format!(
         "Fig. 7 — Per-method response/request ratio ({} methods)\n{}\nCDF of per-method median ratios:\n{}",
         hm.len(),
-        t.render(),
+        hm.table(15, &[0.1, 0.5, 0.9], "", |v| format!("{v:.3}")),
         sketch_cdf(&hm.across_methods(0.5), |v| format!("{v:.3}")),
     )
 }
@@ -69,12 +57,7 @@ pub fn checks(fig: &Fig07) -> ExpectationSet {
     );
     // Within-method spread: most methods serve both directions, so the
     // P90/P10 ratio spread is wide.
-    let spread = hm
-        .rows
-        .iter()
-        .filter(|r| r.summary.p90 > r.summary.p10 * 5.0)
-        .count() as f64
-        / hm.rows.len().max(1) as f64;
+    let spread = hm.share_of_methods(|q| q.p90 > q.p10 * 5.0);
     s.add(
         "fig7.both_directions",
         "methods serve both small and large responses (heavy two-sided tails)",

@@ -5,10 +5,11 @@
 //! P90 is 96% — at the tail, entire RPCs are tax.
 
 use crate::check::ExpectationSet;
-use crate::common::{paper_query, MethodHeatmap};
-use crate::render::{fmt_pct, sketch_cdf, TextTable};
+use crate::common::MethodHeatmap;
+use crate::render::{fmt_pct, sketch_cdf};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_simcore::stats::percentile;
+use rpclens_trace::index::SpanMetric;
 
 /// The computed figure.
 #[derive(Debug)]
@@ -19,30 +20,18 @@ pub struct Fig11 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig11 {
-    let query = paper_query();
     Fig11 {
-        heatmap: MethodHeatmap::build(run, &query, |_, s| s.breakdown().tax_ratio().unwrap_or(0.0)),
+        heatmap: MethodHeatmap::of(run, SpanMetric::TaxRatio),
     }
 }
 
 /// Renders the figure.
 pub fn render(fig: &Fig11) -> String {
     let hm = &fig.heatmap;
-    let mut t = TextTable::new(&["method#", "P10", "P50", "P90", "P99"]);
-    let step = (hm.len() / 15).max(1);
-    for (i, row) in hm.rows.iter().enumerate().step_by(step) {
-        t.row(vec![
-            i.to_string(),
-            fmt_pct(row.summary.p10),
-            fmt_pct(row.summary.p50),
-            fmt_pct(row.summary.p90),
-            fmt_pct(row.summary.p99),
-        ]);
-    }
     format!(
         "Fig. 11 — Per-method RPC-tax / completion-time ratio ({} methods)\n{}\nCDF of per-method median tax ratios:\n{}",
         hm.len(),
-        t.render(),
+        hm.table(15, &[0.1, 0.5, 0.9, 0.99], "", fmt_pct),
         sketch_cdf(&hm.across_methods(0.5), fmt_pct),
     )
 }

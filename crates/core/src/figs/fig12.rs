@@ -7,18 +7,10 @@
 //! congestion, not just distance.
 
 use crate::check::ExpectationSet;
-use crate::common::{component_sum_secs, paper_query, MethodHeatmap};
-use crate::render::{fmt_secs, sketch_cdf, TextTable};
+use crate::common::MethodHeatmap;
+use crate::render::{fmt_secs, sketch_cdf};
 use rpclens_fleet::driver::FleetRun;
-use rpclens_rpcstack::component::LatencyComponent;
-
-/// Components included in this figure: wire + processing, both ways.
-pub const WIRE_AND_STACK: [LatencyComponent; 4] = [
-    LatencyComponent::RequestNetworkWire,
-    LatencyComponent::ResponseNetworkWire,
-    LatencyComponent::RequestProcessing,
-    LatencyComponent::ResponseProcessing,
-];
+use rpclens_trace::index::SpanMetric;
 
 /// The computed figure.
 #[derive(Debug)]
@@ -29,29 +21,18 @@ pub struct Fig12 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig12 {
-    let query = paper_query();
     Fig12 {
-        heatmap: MethodHeatmap::build(run, &query, |_, s| component_sum_secs(s, &WIRE_AND_STACK)),
+        heatmap: MethodHeatmap::of(run, SpanMetric::WireAndStack),
     }
 }
 
 /// Renders the figure.
 pub fn render(fig: &Fig12) -> String {
     let hm = &fig.heatmap;
-    let mut t = TextTable::new(&["method#", "P50", "P90", "P99"]);
-    let step = (hm.len() / 15).max(1);
-    for (i, row) in hm.rows.iter().enumerate().step_by(step) {
-        t.row(vec![
-            i.to_string(),
-            fmt_secs(row.summary.p50),
-            fmt_secs(row.summary.p90),
-            fmt_secs(row.summary.p99),
-        ]);
-    }
     format!(
         "Fig. 12 — Per-method network wire + RPC/stack latency ({} methods)\n{}\nCDF of per-method P99:\n{}",
         hm.len(),
-        t.render(),
+        hm.table(15, &[0.5, 0.9, 0.99], "", fmt_secs),
         sketch_cdf(&hm.across_methods(0.99), fmt_secs),
     )
 }
@@ -107,8 +88,7 @@ mod tests {
     #[test]
     fn wire_stack_is_below_total_latency() {
         let run = shared();
-        let query = paper_query();
-        let totals = MethodHeatmap::build(run, &query, |_, s| s.total_latency().as_secs_f64());
+        let totals = MethodHeatmap::of(run, SpanMetric::Latency);
         let fig = compute(run);
         // Spot-check: for matching methods, the wire+stack median never
         // exceeds the total median.

@@ -6,18 +6,10 @@
 //! implicating scheduling and load balancing.
 
 use crate::check::ExpectationSet;
-use crate::common::{component_sum_secs, paper_query, MethodHeatmap};
-use crate::render::{fmt_secs, sketch_cdf, TextTable};
+use crate::common::MethodHeatmap;
+use crate::render::{fmt_secs, sketch_cdf};
 use rpclens_fleet::driver::FleetRun;
-use rpclens_rpcstack::component::LatencyComponent;
-
-/// The four queueing components.
-pub const QUEUES: [LatencyComponent; 4] = [
-    LatencyComponent::ClientSendQueue,
-    LatencyComponent::ServerRecvQueue,
-    LatencyComponent::ServerSendQueue,
-    LatencyComponent::ClientRecvQueue,
-];
+use rpclens_trace::index::SpanMetric;
 
 /// The computed figure.
 #[derive(Debug)]
@@ -28,29 +20,18 @@ pub struct Fig13 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig13 {
-    let query = paper_query();
     Fig13 {
-        heatmap: MethodHeatmap::build(run, &query, |_, s| component_sum_secs(s, &QUEUES)),
+        heatmap: MethodHeatmap::of(run, SpanMetric::Queueing),
     }
 }
 
 /// Renders the figure.
 pub fn render(fig: &Fig13) -> String {
     let hm = &fig.heatmap;
-    let mut t = TextTable::new(&["method#", "P50", "P90", "P99"]);
-    let step = (hm.len() / 15).max(1);
-    for (i, row) in hm.rows.iter().enumerate().step_by(step) {
-        t.row(vec![
-            i.to_string(),
-            fmt_secs(row.summary.p50),
-            fmt_secs(row.summary.p90),
-            fmt_secs(row.summary.p99),
-        ]);
-    }
     format!(
         "Fig. 13 — Per-method queueing latency ({} methods)\n{}\nCDF of per-method P99 queueing:\n{}",
         hm.len(),
-        t.render(),
+        hm.table(15, &[0.5, 0.9, 0.99], "", fmt_secs),
         sketch_cdf(&hm.across_methods(0.99), fmt_secs),
     )
 }
@@ -74,12 +55,7 @@ pub fn checks(fig: &Fig13) -> ExpectationSet {
         0.102,
     );
     // Heavy tail: P99 is >= 20x the median for most methods.
-    let heavy = hm
-        .rows
-        .iter()
-        .filter(|r| r.summary.p99 > r.summary.p50.max(1e-9) * 20.0)
-        .count() as f64
-        / hm.rows.len().max(1) as f64;
+    let heavy = hm.share_of_methods(|q| q.p99 > q.p50.max(1e-9) * 20.0);
     s.add(
         "fig13.tail_vs_median",
         "tail queueing is much worse than median queueing",

@@ -1862,7 +1862,7 @@ mod tests {
         let q = MethodQuery::default();
         let mut wide = 0;
         let mut total = 0;
-        for (m, _) in q.eligible_methods(&run.store) {
+        for m in run.store.methods() {
             if let Some(samples) = q.latency_samples(&run.store, m) {
                 let sorted = sorted_finite(samples);
                 let p01 = percentile(&sorted, 0.01).unwrap();

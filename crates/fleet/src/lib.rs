@@ -20,7 +20,9 @@
 //! - [`pool`]: the dependency-free worker pool the driver runs shards
 //!   on — a bounded set of threads claiming shard ids from a shared
 //!   counter, with an order-restoring streaming merge ([`pool::OrderedFold`])
-//!   so results stay bit-identical at any `--threads` value.
+//!   so results stay bit-identical at any `--threads` value. It lives in
+//!   `rpclens-simcore`, so the trace store's analysis index shares it;
+//!   it is re-exported here.
 //! - [`faults`]: the disruption plane — named failure scenarios
 //!   (machine churn, drains, WAN partitions, overload surges) plus the
 //!   client resilience configuration (deadlines, budgeted retries) the
@@ -49,10 +51,11 @@ pub mod driver;
 pub mod faults;
 pub mod growth;
 pub mod incident;
-pub mod pool;
 pub mod servable;
 pub mod telemetry;
 pub mod workload;
+
+pub use rpclens_simcore::pool;
 
 /// Convenience re-exports of the most commonly used fleet types.
 pub mod fleet_prelude {

@@ -15,6 +15,8 @@
 //!   latencies spanning nanoseconds to minutes with bounded relative error.
 //! - [`stats`]: exact quantiles, streaming moments, and correlation
 //!   coefficients used by the characterization analyses.
+//! - [`pool`]: the dependency-free worker pool with an order-restoring
+//!   fold, shared by the fleet driver's shards and the analysis index.
 //!
 //! # Examples
 //!
@@ -37,6 +39,7 @@
 pub mod alias;
 pub mod dist;
 pub mod hist;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod time;

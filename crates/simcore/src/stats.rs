@@ -42,10 +42,60 @@ pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
 }
 
 /// Sorts a sample vector and returns it, dropping non-finite values.
+///
+/// The result is the stable ascending sort. Without a `-0.0` among the
+/// values, equal finite values have equal bits, so the sorted sequence is
+/// unique and the faster unstable total-order sort yields exactly it.
 pub fn sorted_finite(mut values: Vec<f64>) -> Vec<f64> {
     values.retain(|v| v.is_finite());
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+    if values.iter().any(|v| is_negative_zero(*v)) {
+        values.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+    } else {
+        values.sort_unstable_by(f64::total_cmp);
+    }
     values
+}
+
+fn is_negative_zero(v: f64) -> bool {
+    v == 0.0 && v.is_sign_negative()
+}
+
+/// The `q`-quantile of unsorted `values`, bit-identical to
+/// `percentile(&sorted_finite(values), q)` but found by selection: only
+/// the two ranks the interpolation reads are put in place.
+///
+/// # Panics
+///
+/// Panics if `q` is outside `[0, 1]`.
+pub fn select_percentile(mut values: Vec<f64>, q: f64) -> Option<f64> {
+    assert!(
+        (0.0..=1.0).contains(&q),
+        "quantile must be in [0,1], got {q}"
+    );
+    values.retain(|v| v.is_finite());
+    if values.iter().any(|v| is_negative_zero(*v)) {
+        // `-0.0 == 0.0` with different bits: which one a rank holds
+        // depends on the stable sort's input order, so sort.
+        return percentile(&sorted_finite(values), q);
+    }
+    if values.is_empty() {
+        return None;
+    }
+    let pos = q * (values.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let frac = pos - lo as f64;
+    let (_, &mut lo_value, above) = values.select_nth_unstable_by(lo, f64::total_cmp);
+    let hi_value = if hi == lo {
+        lo_value
+    } else {
+        // `hi == lo + 1`: the smallest value above rank `lo`.
+        *above
+            .iter()
+            .min_by(|a, b| a.total_cmp(b))
+            .expect("hi is a rank")
+    };
+    Some(lo_value + (hi_value - lo_value) * frac)
 }
 
 /// A compact multi-quantile summary of a sample set.
@@ -73,19 +123,24 @@ impl QuantileSummary {
     /// Builds a summary from an unsorted sample vector, or `None` if empty
     /// after dropping non-finite values.
     pub fn from_samples(values: Vec<f64>) -> Option<Self> {
-        let sorted = sorted_finite(values);
+        Self::from_sorted(&sorted_finite(values))
+    }
+
+    /// Builds a summary from finite samples already sorted ascending, or
+    /// `None` if there are none.
+    pub fn from_sorted(sorted: &[f64]) -> Option<Self> {
         if sorted.is_empty() {
             return None;
         }
         let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
         Some(QuantileSummary {
             count: sorted.len(),
-            p01: percentile(&sorted, 0.01)?,
-            p10: percentile(&sorted, 0.10)?,
-            p50: percentile(&sorted, 0.50)?,
-            p90: percentile(&sorted, 0.90)?,
-            p95: percentile(&sorted, 0.95)?,
-            p99: percentile(&sorted, 0.99)?,
+            p01: percentile(sorted, 0.01)?,
+            p10: percentile(sorted, 0.10)?,
+            p50: percentile(sorted, 0.50)?,
+            p90: percentile(sorted, 0.90)?,
+            p95: percentile(sorted, 0.95)?,
+            p99: percentile(sorted, 0.99)?,
             mean,
         })
     }
@@ -345,6 +400,51 @@ mod tests {
     fn sorted_finite_drops_nan_and_sorts() {
         let v = sorted_finite(vec![3.0, f64::NAN, 1.0, f64::INFINITY, 2.0]);
         assert_eq!(v, vec![1.0, 2.0, 3.0]);
+    }
+
+    /// Tie-heavy samples of both signs with non-finite values to drop,
+    /// and zeros of both signs when `signed_zeros`.
+    fn tie_heavy(n: usize, seed: u64, signed_zeros: bool) -> Vec<f64> {
+        let mut rng = crate::rng::Prng::seed_from(seed);
+        let special = [
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            if signed_zeros { -0.0 } else { -1.5 },
+        ];
+        (0..n)
+            .map(|_| match rng.index(12) {
+                i @ 0..=3 => special[i],
+                i => (rng.index(64) as f64 - 8.0) * 0.125 * i as f64,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sorted_finite_is_bit_identical_to_the_stable_sort() {
+        for (n, seed) in [(0, 1), (1, 2), (2, 3), (17, 4), (5_000, 5)] {
+            for v in [tie_heavy(n, seed, false), tie_heavy(n, seed, true)] {
+                let mut stable: Vec<f64> = v.iter().copied().filter(|x| x.is_finite()).collect();
+                stable.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&sorted_finite(v)), bits(&stable), "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn select_percentile_is_bit_identical_to_sorting() {
+        let mut inputs = vec![vec![], vec![7.5], vec![2.0, 1.0], vec![3.0; 9]];
+        for (n, seed) in [(2, 6), (3, 7), (101, 8), (100_000, 9)] {
+            inputs.extend([tie_heavy(n, seed, false), tie_heavy(n, seed, true)]);
+        }
+        for v in inputs {
+            for q in [0.0, 0.01, 0.5, 0.95, 0.99, 1.0] {
+                let want = percentile(&sorted_finite(v.clone()), q).map(f64::to_bits);
+                let got = select_percentile(v.clone(), q).map(f64::to_bits);
+                assert_eq!(got, want, "n={} q={q}", v.len());
+            }
+        }
     }
 
     #[test]

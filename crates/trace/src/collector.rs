@@ -6,6 +6,7 @@
 //! samples exactly the same traces. [`TraceStore`] owns the sampled
 //! traces and maintains a per-method index for the query layer.
 
+use crate::index::AnalysisCache;
 use crate::span::{MethodId, TraceData};
 use std::collections::HashMap;
 
@@ -53,6 +54,9 @@ pub struct TraceStore {
     /// Method -> list of (trace index, span index).
     by_method: HashMap<MethodId, Vec<(u32, u32)>>,
     total_spans: usize,
+    /// The per-method analysis index, filled on first read
+    /// (see [`crate::index`]).
+    pub(crate) analysis: AnalysisCache,
 }
 
 impl TraceStore {
@@ -61,8 +65,10 @@ impl TraceStore {
         Self::default()
     }
 
-    /// Adds a sampled trace, indexing its spans.
+    /// Adds a sampled trace, indexing its spans and dropping any cached
+    /// analysis entries.
     pub fn add(&mut self, trace: TraceData) {
+        self.analysis = AnalysisCache::default();
         let t_idx = self.traces.len() as u32;
         for (s_idx, span) in trace.spans.iter().enumerate() {
             self.by_method

@@ -11,6 +11,8 @@
 //!   "wider than deep" analysis of §2.4).
 //! - [`query`]: per-method extraction with the paper's filters (≥100
 //!   samples, errors excluded from latency, intra-cluster restriction).
+//! - [`index`]: the per-method analysis index every per-method figure
+//!   reads, built once per store on first use and cached on it.
 //! - [`critical_path`]: CRISP-style critical-path extraction and
 //!   per-method criticality reports (the §6-motivated extension).
 //! - [`export`]: versioned, checksummed binary persistence of trace
@@ -24,6 +26,7 @@
 pub mod collector;
 pub mod critical_path;
 pub mod export;
+pub mod index;
 pub mod query;
 pub mod span;
 pub mod tree;

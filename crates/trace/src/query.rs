@@ -10,10 +10,8 @@
 
 use crate::collector::TraceStore;
 use crate::span::{MethodId, SpanRecord, TraceData};
-use crate::tree::TreeStats;
 use rpclens_netsim::topology::ClusterId;
 use rpclens_rpcstack::component::LatencyComponent;
-use std::collections::HashMap;
 
 /// The paper's minimum sample count for per-method statistics.
 pub const MIN_SAMPLES: usize = 100;
@@ -98,61 +96,12 @@ impl MethodQuery {
     ) -> Option<Vec<f64>> {
         self.samples(store, method, move |_, s| s.component(c).as_secs_f64())
     }
-
-    /// All methods that pass the sample-count filter, with their span
-    /// counts, sorted by method id.
-    pub fn eligible_methods(&self, store: &TraceStore) -> Vec<(MethodId, usize)> {
-        let mut out: Vec<(MethodId, usize)> = store
-            .methods()
-            .filter_map(|m| {
-                let mut n = 0usize;
-                store.for_each_span(m, |_, s| {
-                    if self.accepts(s) {
-                        n += 1;
-                    }
-                });
-                (n >= self.min_samples).then_some((m, n))
-            })
-            .collect();
-        out.sort_by_key(|(m, _)| *m);
-        out
-    }
-}
-
-/// Per-method tree-shape samples (descendants and ancestors), computed
-/// over whole traces in one pass.
-#[derive(Debug, Default)]
-pub struct TreeShapeSamples {
-    /// Descendant counts per method.
-    pub descendants: HashMap<MethodId, Vec<f64>>,
-    /// Ancestor counts per method.
-    pub ancestors: HashMap<MethodId, Vec<f64>>,
-}
-
-impl TreeShapeSamples {
-    /// Computes shape samples across the whole store.
-    pub fn compute(store: &TraceStore) -> Self {
-        let mut out = TreeShapeSamples::default();
-        for trace in store.traces() {
-            let stats = TreeStats::compute(trace);
-            for (i, span) in trace.spans.iter().enumerate() {
-                out.descendants
-                    .entry(span.method)
-                    .or_default()
-                    .push(stats.descendants[i] as f64);
-                out.ancestors
-                    .entry(span.method)
-                    .or_default()
-                    .push(stats.ancestors[i] as f64);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::SpanMetric;
     use crate::span::{ServiceId, SpanBuilder};
     use rpclens_rpcstack::component::LatencyBreakdown;
     use rpclens_rpcstack::error::ErrorKind;
@@ -249,22 +198,24 @@ mod tests {
 
     #[test]
     fn eligible_methods_sorted_and_counted() {
+        // The index holds the methods passing the paper query's gate.
         let store = make_store();
-        let q = MethodQuery::default();
-        let methods = q.eligible_methods(&store);
-        assert_eq!(methods.len(), 2);
-        assert_eq!(methods[0].0, MethodId(1));
-        assert_eq!(methods[0].1, 135);
-        assert_eq!(methods[1].0, MethodId(2));
-        assert_eq!(methods[1].1, 150);
+        let rows = store.method_stats(SpanMetric::Latency, 1).rows();
+        let methods: Vec<_> = rows.iter().map(|r| (r.method, r.summary.count)).collect();
+        assert_eq!(methods, vec![(MethodId(1), 135), (MethodId(2), 150)]);
     }
 
     #[test]
     fn tree_shape_samples_cover_all_spans() {
+        // Errors included: all 150 spans of each method are summarised.
         let store = make_store();
-        let shapes = TreeShapeSamples::compute(&store);
-        assert_eq!(shapes.descendants[&MethodId(1)].len(), 150);
-        assert!(shapes.descendants[&MethodId(1)].iter().all(|&d| d == 1.0));
-        assert!(shapes.ancestors[&MethodId(2)].iter().all(|&a| a == 1.0));
+        let shapes = store.tree_shapes(1);
+        let d = shapes.descendants.get(MethodId(1)).expect("method 1");
+        assert_eq!(d.count, 150);
+        assert!(d.p01 == 1.0 && d.p99 == 1.0);
+        let a = shapes.ancestors.get(MethodId(2)).expect("method 2");
+        assert_eq!(a.count, 150);
+        assert!(a.p01 == 1.0 && a.p99 == 1.0);
+        assert_eq!(shapes.roots, vec![(1, 1); 150]);
     }
 }

@@ -36,7 +36,7 @@ fn fleet_traces_roundtrip_and_reanalyse_identically() {
 
     // Analyses over the imported store match the originals exactly.
     let query = MethodQuery::default();
-    for (method, _) in query.eligible_methods(&run.store) {
+    for method in run.store.methods() {
         let a = query.latency_samples(&run.store, method);
         let b = query.latency_samples(&imported, method);
         assert_eq!(a, b, "method {method:?} samples differ after roundtrip");
